@@ -1,5 +1,5 @@
-//! Shard benchmark: row-banded kernel makespans, `ShardedNetwork` model
-//! runs (layer shards and row bands), and a shards × workers × batch
+//! Shard benchmark: row-banded kernel makespans, model runs sharded by
+//! row bands and by layer cuts, and a shards × workers × batch
 //! serving sweep. Run with `--release`; writes `results/bench_shard.json`
 //! alongside the CSVs.
 

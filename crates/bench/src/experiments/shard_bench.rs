@@ -5,9 +5,12 @@
 //!    bands ([`PreparedPacked::partition_row_bands`]); the simulated-cycle
 //!    makespan (the busiest band's array) must fall monotonically as
 //!    shards are added. Pure simulation, deterministic.
-//! 2. **Model**: a deployed LeNet run through [`ShardedNetwork`] in both
-//!    layer-shard and row-band mode — makespan, parallel cycle speedup,
-//!    and host wall clock per batch.
+//! 2. **Model**: a deployed LeNet sharded two ways — row bands (every
+//!    conv through a [`BandSet`]) and layer cuts (a
+//!    [`partition_min_max`] split of the layer costs, one
+//!    [`DeployedNetwork::run_stage`] per range, folded as concurrent
+//!    arrays) — makespan, parallel cycle speedup, and host wall clock per
+//!    batch.
 //! 3. **Serving**: a shards × workers × batch closed-loop sweep through
 //!    the full `cc-serve` stack, with per-stage/per-shard occupancy.
 //!
@@ -22,10 +25,12 @@ use crate::report::{fnum, JsonValue, Table};
 use crate::scale::Scale;
 use crate::setups;
 use cc_dataset::Dataset;
-use cc_deploy::{identity_groups, DeployedNetwork, ShardMode, ShardScratch, ShardedNetwork};
+use cc_deploy::{identity_groups, ActivationScratch, BandSet, BatchOutput, DeployedNetwork};
 use cc_packing::{group_columns, pack_columns, GroupingConfig};
 use cc_systolic::array::{ArrayConfig, QuantPacked};
-use cc_systolic::{ArrayGeometry, PreparedPacked, RunScratch, SimStats, TiledScheduler};
+use cc_systolic::{
+    partition_min_max, ArrayGeometry, PreparedPacked, RunScratch, SimStats, TiledScheduler,
+};
 use cc_tensor::init::sparse_matrix;
 use cc_tensor::quant::{AccumWidth, QuantMatrix, QuantParams};
 use cc_tensor::Tensor;
@@ -77,18 +82,15 @@ fn kernel_makespans(case: &LayerCase) -> Vec<(usize, usize, u64)> {
             let plan = prepared.partition_row_bands(shards);
             let mut primary = RunScratch::new();
             let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
-            let mut stats = vec![SimStats::default(); plan.len()];
-            let mut busy = vec![0u64; plan.len()];
-            sched.run_bands_with(
-                &prepared, &plan, &d, &mut primary, &mut aux, &mut stats, &mut busy,
-            );
+            let mut runs = Vec::new();
+            sched.run_bands(&prepared, &plan, &[], &[], &d, &mut primary, &mut aux, &mut runs);
             assert_eq!(
                 primary.outputs(),
                 reference.outputs(),
                 "sharded gather diverged on {}",
                 case.name
             );
-            let makespan = stats.iter().map(|s| s.cycles).max().unwrap_or(0);
+            let makespan = runs.iter().map(|r| r.stats.cycles).max().unwrap_or(0);
             (shards, plan.len(), makespan)
         })
         .collect()
@@ -107,11 +109,10 @@ fn fleet_makespan(
     let plan = prepared.partition_row_bands_for(fleet, d.cols());
     let mut primary = RunScratch::new();
     let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
-    let mut stats = vec![SimStats::default(); plan.len()];
-    let mut busy = vec![0u64; plan.len()];
-    sched.run_bands_geom(prepared, &plan, fleet, d, &mut primary, &mut aux, &mut stats, &mut busy);
+    let mut runs = Vec::new();
+    sched.run_bands(prepared, &plan, fleet, &[], d, &mut primary, &mut aux, &mut runs);
     assert_eq!(primary.outputs(), reference.outputs(), "fleet gather diverged");
-    (plan.len(), stats.iter().map(|s| s.cycles).max().unwrap_or(0))
+    (plan.len(), runs.iter().map(|r| r.stats.cycles).max().unwrap_or(0))
 }
 
 /// Fleet configurations the heterogeneous sweep compares: the base 32×32
@@ -188,30 +189,86 @@ impl ModelRow {
     }
 }
 
+/// Layer cuts as pipeline stages: one batch through `ranges` in sequence,
+/// range `i` on its own activation scratch `acts[i]` and on the one-array
+/// set `bands` (reset per range). Returns the logits and each range's
+/// merged stats — one simulated array per range.
+fn run_layer_cuts(
+    deployed: &DeployedNetwork,
+    images: &[Tensor],
+    ranges: &[std::ops::Range<usize>],
+    acts: &mut [ActivationScratch],
+    bands: &mut BandSet,
+) -> (Vec<Vec<f32>>, Vec<SimStats>) {
+    let sched = deployed.scheduler();
+    let mut data = BatchOutput::Maps(deployed.quantize_batch_scratch(images, &mut acts[0]));
+    let mut per_range = Vec::with_capacity(ranges.len());
+    for (range, scratch) in ranges.iter().zip(acts.iter_mut()) {
+        bands.reset_stats();
+        data = deployed.run_stage(range.clone(), data, &sched, scratch, Some(&mut *bands));
+        per_range.push(bands.merged_stats());
+    }
+    let BatchOutput::Logits(logits) = data else {
+        panic!("deployed network has no classifier head")
+    };
+    (logits, per_range)
+}
+
 fn measure_model(deployed: &DeployedNetwork, images: &[Tensor], iters: u32) -> Vec<ModelRow> {
     let serial = deployed.run_batch(images);
+    let sched = deployed.scheduler();
     let mut rows = Vec::new();
-    for (mode, name) in [(ShardMode::RowBands, "row_bands"), (ShardMode::Layers, "layers")] {
-        for &shards in &SHARD_SWEEP {
-            let plan = ShardedNetwork::new(deployed.clone(), mode, shards);
-            let mut scratch = ShardScratch::for_network(&plan);
-            let (logits, stats) = plan.run_batch_stats(images, &mut scratch);
-            assert_eq!(logits, serial, "{name} at {shards} shards diverged");
-            let wall_ns = best_ns(
-                || {
-                    black_box(plan.run_batch_stats(black_box(images), &mut scratch));
-                },
-                iters,
-                2,
-            );
-            rows.push(ModelRow {
-                mode: name,
-                shards: plan.shards(),
-                makespan: stats.makespan_cycles,
-                merged_cycles: stats.merged.cycles,
-                wall_ns,
-            });
+    let mut acts = ActivationScratch::new();
+    for &shards in &SHARD_SWEEP {
+        let mut bands = BandSet::new(shards);
+        let logits = deployed.run_batch_banded(&sched, images, &mut acts, &mut bands);
+        assert_eq!(logits, serial, "row_bands at {shards} shards diverged");
+        let (makespan, merged_cycles) = (bands.makespan_cycles(), bands.merged_stats().cycles);
+        let wall_ns = best_ns(
+            || {
+                let images = black_box(images);
+                black_box(deployed.run_batch_banded(&sched, images, &mut acts, &mut bands));
+            },
+            iters,
+            2,
+        );
+        rows.push(ModelRow { mode: "row_bands", shards, makespan, merged_cycles, wall_ns });
+    }
+    for &shards in &SHARD_SWEEP {
+        let ranges = partition_min_max(&deployed.layer_costs(), shards);
+        let mut stage_acts: Vec<ActivationScratch> =
+            ranges.iter().map(|_| ActivationScratch::new()).collect();
+        let mut bands = BandSet::new(1);
+        let (logits, per_range) =
+            run_layer_cuts(deployed, images, &ranges, &mut stage_acts, &mut bands);
+        assert_eq!(logits, serial, "layers at {shards} shards diverged");
+        // Layer ranges run side by side in steady state (batches pipeline
+        // through them): the makespan is the concurrent fold.
+        let (mut merged, mut concurrent) = (SimStats::default(), SimStats::default());
+        for s in &per_range {
+            merged.merge(s);
+            concurrent.merge_concurrent(s);
         }
+        let wall_ns = best_ns(
+            || {
+                black_box(run_layer_cuts(
+                    deployed,
+                    black_box(images),
+                    &ranges,
+                    &mut stage_acts,
+                    &mut bands,
+                ));
+            },
+            iters,
+            2,
+        );
+        rows.push(ModelRow {
+            mode: "layers",
+            shards: ranges.len(),
+            makespan: concurrent.cycles,
+            merged_cycles: merged.cycles,
+            wall_ns,
+        });
     }
     rows
 }
@@ -280,7 +337,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let (deployed, images) = model_fixture(scale);
     let model_rows = measure_model(&deployed, &images, iters);
     let mut model_table = Table::new(
-        "Shards: deployed LeNet through ShardedNetwork (batch of 4)",
+        "Shards: deployed LeNet, row bands and layer cuts (batch of 4)",
         &["mode", "shards", "makespan_cycles", "cycle_speedup", "wall_ns_per_batch"],
     );
     for row in &model_rows {
@@ -367,7 +424,6 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_deploy::ActivationScratch;
 
     /// CI gate, part 1 (simulated, deterministic): on the layer workloads
     /// the row-band makespan must decrease strictly and monotonically from
@@ -445,12 +501,18 @@ mod tests {
             20,
             2,
         );
-        let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 1);
-        let mut shard_scratch = ShardScratch::for_network(&plan);
-        plan.run_batch_stats(&images, &mut shard_scratch);
+        let mut bands = BandSet::new(1);
+        let mut banded_scratch = ActivationScratch::new();
+        deployed.run_batch_banded(&sched, &images, &mut banded_scratch, &mut bands);
         let banded_ns = best_ns(
             || {
-                black_box(plan.run_batch_stats(black_box(&images), &mut shard_scratch));
+                bands.reset_stats();
+                black_box(deployed.run_batch_banded(
+                    &sched,
+                    black_box(&images),
+                    &mut banded_scratch,
+                    &mut bands,
+                ));
             },
             20,
             2,

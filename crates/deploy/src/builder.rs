@@ -1,6 +1,14 @@
 //! Builds a [`DeployedNetwork`] from a trained float network: packs each
 //! pointwise layer, folds batch norm into per-channel scale/bias, and
 //! calibrates activation scales on sample data.
+//!
+//! Execution has one layer-range entry point,
+//! [`DeployedNetwork::run_stage`] (optionally over a row-band
+//! [`BandSet`]); the whole-network calls
+//! [`DeployedNetwork::run_batch_scratch`] /
+//! [`DeployedNetwork::run_batch_banded`] run it over every layer, and
+//! [`DeployedNetwork::run_batch`] / [`DeployedNetwork::logits`] are
+//! allocating conveniences on top.
 
 use crate::engine::{run_layer_batch_banded, BatchOutput, DeployedLayer};
 use crate::qmap::QMap;
@@ -170,69 +178,26 @@ impl DeployedNetwork {
     /// Executes the contiguous layer range `range` on a batch of
     /// activations, returning the activations flowing into layer
     /// `range.end` (or logits if the range covers the classifier head).
+    /// Every layer's output buffers come from `scratch`'s pool and each
+    /// layer's inputs are recycled into it the moment the layer has
+    /// consumed them (ping-pong), so a warm scratch makes staged execution
+    /// allocation-free. With `bands`, every packed conv in the range
+    /// scatters across the set's simulated arrays and gathers by row
+    /// concatenation — bit-identical to `None`.
     ///
     /// Running `0..num_layers()` over [`DeployedNetwork::quantize_batch`]
-    /// output is exactly [`DeployedNetwork::run_batch_with`] — the serial
-    /// path is implemented on top of this, so pipelined execution that
-    /// splits the range across stages is bit-identical by construction.
+    /// output is exactly [`DeployedNetwork::run_batch`] — the whole-network
+    /// paths are implemented on top of this, so pipelined execution that
+    /// splits the range across stages (each with its own shard set) is
+    /// bit-identical by construction, and so are layer cuts: a
+    /// [`cc_systolic::partition_min_max`] split of
+    /// [`DeployedNetwork::layer_costs`] run one range at a time.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds or starts after the classifier
     /// head already produced logits (`data` is `Logits` with layers left).
     pub fn run_stage(
-        &self,
-        range: std::ops::Range<usize>,
-        data: BatchOutput,
-        sched: &TiledScheduler,
-    ) -> BatchOutput {
-        self.run_stage_scratch(range, data, sched, &mut ActivationScratch::new())
-    }
-
-    /// [`DeployedNetwork::run_stage`] with a caller-owned
-    /// [`ActivationScratch`]: every layer's output buffers come from the
-    /// scratch pool and each layer's inputs are recycled into it the
-    /// moment the layer has consumed them (ping-pong), so a warm scratch
-    /// makes staged execution allocation-free. Bit-identical to
-    /// [`DeployedNetwork::run_stage`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or starts after the classifier
-    /// head already produced logits (`data` is `Logits` with layers left).
-    pub fn run_stage_scratch(
-        &self,
-        range: std::ops::Range<usize>,
-        data: BatchOutput,
-        sched: &TiledScheduler,
-        scratch: &mut ActivationScratch,
-    ) -> BatchOutput {
-        self.run_stage_inner(range, data, sched, scratch, None)
-    }
-
-    /// [`DeployedNetwork::run_stage_scratch`] over a row-band shard set:
-    /// every packed conv in the range scatters across `bands`' simulated
-    /// arrays and gathers by row concatenation — bit-identical to the
-    /// serial path (see [`crate::ShardedNetwork`] for the planned API on
-    /// top of this). Pipelined serving composes stages × shards by giving
-    /// each stage its own set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds or starts after the classifier
-    /// head already produced logits.
-    pub fn run_stage_banded(
-        &self,
-        range: std::ops::Range<usize>,
-        data: BatchOutput,
-        sched: &TiledScheduler,
-        scratch: &mut ActivationScratch,
-        bands: &mut BandSet,
-    ) -> BatchOutput {
-        self.run_stage_inner(range, data, sched, scratch, Some(bands))
-    }
-
-    fn run_stage_inner(
         &self,
         range: std::ops::Range<usize>,
         data: BatchOutput,
@@ -259,7 +224,7 @@ impl DeployedNetwork {
     }
 
     /// The tiled scheduler this network was prepared for. Serving workers
-    /// copy it once and pass it to [`DeployedNetwork::run_batch_with`]
+    /// copy it once and pass it to [`DeployedNetwork::run_batch_scratch`]
     /// instead of constructing a scheduler per call.
     pub fn scheduler(&self) -> TiledScheduler {
         self.inner.sched
@@ -279,27 +244,16 @@ impl DeployedNetwork {
     /// on the simulated array, and the results are bit-identical to
     /// calling [`DeployedNetwork::logits`] per image.
     pub fn run_batch(&self, images: &[Tensor]) -> Vec<Vec<f32>> {
-        let sched = self.inner.sched;
-        self.run_batch_with(&sched, images)
+        self.run_batch_scratch(&self.inner.sched, images, &mut ActivationScratch::new())
     }
 
     /// [`DeployedNetwork::run_batch`] with a caller-owned scheduler (one
-    /// per serving worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler's array configuration differs from the one
-    /// the network was built for, or the pipeline lacks a classifier head.
-    pub fn run_batch_with(&self, sched: &TiledScheduler, images: &[Tensor]) -> Vec<Vec<f32>> {
-        self.run_batch_scratch(sched, images, &mut ActivationScratch::new())
-    }
-
-    /// [`DeployedNetwork::run_batch_with`] with a caller-owned
-    /// [`ActivationScratch`] — the serving hot path. Quantization, every
-    /// layer's activations, and the systolic output planes all draw from
-    /// the scratch, so a warm scratch makes whole-network inference free
-    /// of steady-state allocations (only the returned logits are fresh).
-    /// Bit-identical to [`DeployedNetwork::run_batch`].
+    /// per serving worker) and [`ActivationScratch`] — the serving hot
+    /// path. Quantization, every layer's activations, and the systolic
+    /// output planes all draw from the scratch, so a warm scratch makes
+    /// whole-network inference free of steady-state allocations (only the
+    /// returned logits are fresh). Bit-identical to
+    /// [`DeployedNetwork::run_batch`].
     ///
     /// # Panics
     ///
@@ -311,14 +265,7 @@ impl DeployedNetwork {
         images: &[Tensor],
         scratch: &mut ActivationScratch,
     ) -> Vec<Vec<f32>> {
-        if images.is_empty() {
-            return Vec::new();
-        }
-        let input = BatchOutput::Maps(self.quantize_batch_scratch(images, scratch));
-        match self.run_stage_scratch(0..self.inner.layers.len(), input, sched, scratch) {
-            BatchOutput::Logits(l) => l,
-            BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
-        }
+        self.run_whole(sched, images, scratch, None)
     }
 
     /// [`DeployedNetwork::run_batch_scratch`] over a row-band shard set:
@@ -338,11 +285,21 @@ impl DeployedNetwork {
         scratch: &mut ActivationScratch,
         bands: &mut BandSet,
     ) -> Vec<Vec<f32>> {
+        self.run_whole(sched, images, scratch, Some(bands))
+    }
+
+    fn run_whole(
+        &self,
+        sched: &TiledScheduler,
+        images: &[Tensor],
+        scratch: &mut ActivationScratch,
+        bands: Option<&mut BandSet>,
+    ) -> Vec<Vec<f32>> {
         if images.is_empty() {
             return Vec::new();
         }
         let input = BatchOutput::Maps(self.quantize_batch_scratch(images, scratch));
-        match self.run_stage_banded(0..self.inner.layers.len(), input, sched, scratch, bands) {
+        match self.run_stage(0..self.inner.layers.len(), input, sched, scratch, bands) {
             BatchOutput::Logits(l) => l,
             BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
         }
@@ -712,13 +669,16 @@ mod tests {
 
         // Every contiguous two-way split must reproduce the serial logits
         // bit for bit.
+        let mut scratch = ActivationScratch::new();
         for split in 0..=n {
             let mid = deployed.run_stage(
                 0..split,
                 BatchOutput::Maps(deployed.quantize_batch(&images)),
                 &sched,
+                &mut scratch,
+                None,
             );
-            let out = deployed.run_stage(split..n, mid, &sched);
+            let out = deployed.run_stage(split..n, mid, &sched, &mut scratch, None);
             match out {
                 BatchOutput::Logits(l) => assert_eq!(l, serial, "split at {split} diverged"),
                 BatchOutput::Maps(_) => panic!("full range must end in logits"),

@@ -1,12 +1,14 @@
 //! The deployed integer inference engine: one enum variant per hardware
 //! block of the paper's Fig. 6 system.
 //!
-//! Every stage executes either on one image or on a whole batch
-//! ([`run_layer_batch`]). Batching concatenates the images' spatial
+//! Every stage executes on a batch through one entry point,
+//! [`run_layer_batch_banded`]. Batching concatenates the images' spatial
 //! positions into one wide data matrix for the systolic array, so a batch
 //! of `B` maps shares each layer's weight loads — and because the array is
 //! exact integer arithmetic per output column, batched results are
-//! bit-identical to running the images one at a time.
+//! bit-identical to running the images one at a time. A packed conv runs
+//! on one array ([`TiledScheduler::run_prepared_with`]) or, given a
+//! [`BandSet`], scattered across its row-band shards.
 
 use crate::qmap::QMap;
 use crate::scratch::{ActivationScratch, BufPool};
@@ -70,57 +72,17 @@ pub enum DeployedLayer {
     },
 }
 
-/// Executes one stage on one image. `PackedConv` runs on the tiled
-/// systolic simulator; everything else is the corresponding peripheral
-/// block.
-pub fn run_layer(layer: &DeployedLayer, input: &QMap, sched: &TiledScheduler) -> StageOutput {
-    match run_layer_batch(layer, std::slice::from_ref(input), sched) {
-        BatchOutput::Maps(mut m) => StageOutput::Map(m.pop().expect("batch of one")),
-        BatchOutput::Logits(mut l) => StageOutput::Logits(l.pop().expect("batch of one")),
-    }
-}
-
-/// Executes one stage on a batch of same-shape images. `PackedConv`
-/// concatenates all images' positions into one data matrix so the batch
-/// shares each weight tile load; results are bit-identical to running the
-/// images individually.
-///
-/// # Panics
-///
-/// Panics on an empty batch or if the maps disagree in shape or scale.
-pub fn run_layer_batch(
-    layer: &DeployedLayer,
-    inputs: &[QMap],
-    sched: &TiledScheduler,
-) -> BatchOutput {
-    run_layer_batch_scratch(layer, inputs, sched, &mut ActivationScratch::new())
-}
-
-/// [`run_layer_batch`] drawing every output buffer (and the systolic
-/// output plane) from a caller-owned [`ActivationScratch`] — the serving
-/// hot path, which performs no steady-state allocation once the scratch
-/// is warm. Bit-identical to [`run_layer_batch`].
-///
-/// # Panics
-///
-/// Panics on an empty batch or if the maps disagree in shape or scale.
-pub fn run_layer_batch_scratch(
-    layer: &DeployedLayer,
-    inputs: &[QMap],
-    sched: &TiledScheduler,
-    scratch: &mut ActivationScratch,
-) -> BatchOutput {
-    run_layer_batch_banded(layer, inputs, sched, scratch, None)
-}
-
-/// [`run_layer_batch_scratch`] with an optional row-band shard set: when
-/// `bands` carries more than one shard, every `PackedConv` scatters its
-/// prepared tiles across the set's simulated arrays (one thread and one
-/// kernel scratch each) and gathers the band outputs by row concatenation —
-/// bit-identical to the unsharded path by construction, since quantization
-/// stats are precomputed per output channel. With `None` (or a one-shard
-/// set) this *is* the serial path. Batch containers and activations come
-/// from (and are recycled into) `scratch`'s pools either way.
+/// Executes one stage on a batch of same-shape images, drawing every
+/// output buffer (and the systolic output plane) from a caller-owned
+/// [`ActivationScratch`] — once the scratch is warm, no steady-state
+/// allocation. `PackedConv` concatenates all images' positions into one
+/// data matrix so the batch shares each weight tile load; results are
+/// bit-identical to running the images individually. With `bands`, every
+/// `PackedConv` scatters its prepared tiles across the set's simulated
+/// arrays (one thread and one kernel scratch each) and gathers the band
+/// outputs by row concatenation — bit-identical to the unsharded path by
+/// construction, since quantization stats are precomputed per output
+/// channel. With `None` the conv runs on one array.
 ///
 /// # Panics
 ///
@@ -231,15 +193,6 @@ pub fn layer_cost(
     }
 }
 
-/// Result of a stage: another feature map, or the final logits.
-#[derive(Clone, Debug)]
-pub enum StageOutput {
-    /// Intermediate quantized feature map.
-    Map(QMap),
-    /// Real-valued class logits.
-    Logits(Vec<f32>),
-}
-
 /// Result of a batched stage: per-image maps or per-image logits.
 #[derive(Clone, Debug)]
 pub enum BatchOutput {
@@ -314,19 +267,12 @@ fn run_packed_conv_batch(
     let data =
         QuantMatrix::from_raw(c, bl, data, QuantParams::from_max_abs(first.scale() * 127.0));
     // Scatter/gather across the shard set when one is supplied; the
-    // gathered plane in `scratch.run` is bit-identical either way. A
-    // one-shard *fleet* still takes the banded path so its stats are
-    // priced under the fleet's geometry, not the base array's, and a set
-    // with a fault injector always scatters so faults can be detected
-    // and retried even at one shard.
+    // gathered plane in `scratch.run` is bit-identical either way.
     match bands {
-        Some(set) if set.shards() > 1 || set.fleet().is_some() || set.has_faults() => {
-            set.run_conv(sched, tiles, &data, &mut scratch.run)
-        }
-        Some(set) => set.run_conv_serial(sched, tiles, &data, &mut scratch.run),
         None => {
             sched.run_prepared_with(tiles, &data, &mut scratch.run);
         }
+        Some(set) => set.run_conv(sched, tiles, &data, &mut scratch.run),
     }
     scratch.bufs.recycle(data.into_raw());
 

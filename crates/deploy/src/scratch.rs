@@ -151,7 +151,7 @@ impl ShellPool {
 /// Caller-owned scratch for allocation-free inference: hold one per
 /// serving worker (or pipeline stage) and pass it to
 /// [`crate::DeployedNetwork::run_batch_scratch`] /
-/// [`crate::DeployedNetwork::run_stage_scratch`] on every call.
+/// [`crate::DeployedNetwork::run_stage`] on every call.
 #[derive(Debug, Default)]
 pub struct ActivationScratch {
     /// Output planes for the systolic kernel.

@@ -1,47 +1,41 @@
-//! Multi-array sharding: carving one [`DeployedNetwork`] across several
-//! simulated systolic arrays and serving the pieces concurrently.
+//! Multi-array sharding: carving one [`crate::DeployedNetwork`] across
+//! several simulated systolic arrays.
 //!
-//! Two shard geometries, mirroring how real multi-array accelerators
-//! scale out:
+//! A [`BandSet`] is the one way to shard. Every packed conv layer's output
+//! rows split across the set's arrays, each array owning a contiguous
+//! band of the layer's prepared tiles ([`cc_systolic::RowBand`]). The
+//! bands of one layer run concurrently (scoped threads, one kernel scratch
+//! each, through [`TiledScheduler::run_bands`]) and the gather is pure
+//! row concatenation — bit-identical to the unsharded kernel by
+//! construction, because per-channel quantization stats are precomputed.
+//! Pass a set to [`crate::DeployedNetwork::run_batch_banded`] for a whole
+//! network or [`crate::DeployedNetwork::run_stage`] for a layer range.
 //!
-//! * **Layer shards** ([`ShardMode::Layers`]): contiguous layer ranges on
-//!   different arrays (the min-max DP over the layer cost model —
-//!   generalizing `cc-serve`'s stage partitioning). One batch flows
-//!   through the shards in sequence; throughput comes from pipelining
-//!   successive batches, so the steady-state makespan is the bottleneck
-//!   shard.
-//! * **Row-band shards** ([`ShardMode::RowBands`]): every packed conv
-//!   layer's output rows split across arrays, each array owning a
-//!   contiguous band of the layer's prepared tiles
-//!   ([`cc_systolic::RowBand`]). The bands of one layer run concurrently
-//!   (scoped threads, one kernel scratch each) and the gather is pure row
-//!   concatenation — bit-identical to the unsharded kernel by
-//!   construction, because per-channel quantization stats are precomputed.
+//! Layer cuts are not a second sharding mode: a contiguous layer range is
+//! a pipeline *stage*, cut by the min-max DP over
+//! [`crate::DeployedNetwork::layer_costs`]
+//! ([`cc_systolic::partition_min_max`]) and run with `run_stage` (see
+//! `cc-serve`'s pipeline executor). Stages and bands compose: each stage
+//! owns its own set.
 //!
-//! Either way the shards share one prepared op list (the
-//! [`DeployedNetwork`]'s `Arc` internals); nothing is re-prepared per
-//! shard. [`ShardStats`] reports both the *merged* counters — bit-identical
-//! to the unsharded run's, cycles included (the gather substitutes the
-//! sequential-equivalent cycle count) — and the concurrent *makespan*,
-//! which is what shrinks as shards are added.
+//! The shards share one prepared op list (the network's `Arc` internals);
+//! nothing is re-prepared per shard. A set reports both the *merged*
+//! counters ([`BandSet::merged_stats`]) — bit-identical to the unsharded
+//! run's, cycles included (the gather substitutes the
+//! sequential-equivalent cycle count) — and the concurrent *makespan*
+//! ([`BandSet::makespan_cycles`]), which is what shrinks as shards are
+//! added.
 //!
-//! Row-band fleets need not be homogeneous:
-//! [`ShardedNetwork::with_fleet`] / [`BandSet::with_fleet`] give each
+//! Fleets need not be homogeneous: [`BandSet::with_fleet`] gives each
 //! shard its own [`ArrayGeometry`]. Banding is then weighted by each
 //! target's cycle model (a weaker array gets fewer rows), per-shard stats
 //! attribute cycles under each shard's own geometry, and the merged view
 //! still reports the base array's sequential equivalent — fleet-invariant
 //! by construction.
 
-use crate::builder::DeployedNetwork;
-use crate::engine::BatchOutput;
-use crate::scratch::ActivationScratch;
-use cc_systolic::partition::partition_min_max;
-use cc_systolic::tiled::{BandAction, BandOutcome, PreparedPacked, TiledScheduler};
+use cc_systolic::tiled::{BandAction, BandOutcome, BandRun, PreparedPacked, TiledScheduler};
 use cc_systolic::{ArrayGeometry, RowBand, RunScratch, SimStats};
 use cc_tensor::quant::QuantMatrix;
-use cc_tensor::Tensor;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -179,14 +173,10 @@ struct PlanKey {
     tiles: usize,
     array_rows: usize,
     array_cols: usize,
-    /// Bitmask of the active (non-quarantined) lanes the plan was banded
-    /// over — quarantine re-plans are distinct cache entries, so flapping
-    /// between fleet states never recomputes the partitioning DP.
-    active_mask: u64,
 }
 
 impl PlanKey {
-    fn of(tiles: &PreparedPacked, active_mask: u64) -> Self {
+    fn of(tiles: &PreparedPacked) -> Self {
         PlanKey {
             ptr: tiles as *const PreparedPacked as usize,
             rows: tiles.rows(),
@@ -194,18 +184,8 @@ impl PlanKey {
             tiles: tiles.num_tiles(),
             array_rows: tiles.config().rows,
             array_cols: tiles.config().cols,
-            active_mask,
         }
     }
-}
-
-/// How a network is carved across simulated arrays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardMode {
-    /// Contiguous layer ranges, one per array.
-    Layers,
-    /// Each packed conv's output rows banded across the arrays.
-    RowBands,
 }
 
 /// The row-band shard environment one executor owns: per-shard kernel
@@ -213,8 +193,8 @@ pub enum ShardMode {
 /// layer and batch), per-shard busy/cycle accounting, and the merged
 /// counters of everything run since the last reset. Hold one per serving
 /// worker or pipeline stage and pass it to
-/// [`DeployedNetwork::run_batch_banded`] /
-/// [`DeployedNetwork::run_stage_banded`].
+/// [`crate::DeployedNetwork::run_batch_banded`] /
+/// [`crate::DeployedNetwork::run_stage`].
 #[derive(Debug)]
 pub struct BandSet {
     shards: usize,
@@ -225,14 +205,15 @@ pub struct BandSet {
     /// that geometry.
     fleet: Option<Vec<ArrayGeometry>>,
     aux: Vec<RunScratch>,
-    call_stats: Vec<SimStats>,
     shard_totals: Vec<SimStats>,
     merged: SimStats,
     busy_nanos: Vec<u64>,
-    /// LRU shard-plan cache (most recently used last): the plan depends
-    /// only on the static (prepared matrix, shard count) pair, so the
-    /// per-conv partitioning DP runs once per layer, not once per batch.
-    plans: Vec<(PlanKey, Vec<RowBand>)>,
+    /// LRU shard-plan cache (most recently used last), keyed on the
+    /// prepared matrix and the active lanes the plan was banded over: the
+    /// per-conv partitioning DP runs once per layer, not once per batch,
+    /// and quarantine re-plans are distinct entries, so flapping between
+    /// fleet states never recomputes it.
+    plans: Vec<(PlanKey, Vec<usize>, Vec<RowBand>)>,
     /// When set, every conv scatter appends a [`ConvTrace`] (bounded at
     /// [`MAX_CONV_LOG`]) for serving-side span export. Off by default:
     /// the untraced path pays one branch per conv.
@@ -258,10 +239,9 @@ pub struct BandSet {
     /// Batch deadline the retry loop respects (set per batch by the
     /// serving worker; `None` = retry on budget alone).
     retry_deadline: Option<Instant>,
-    /// Reused per-conv scratch for the faulted path.
+    /// Reused per-conv scatter scratch.
     actions: Vec<BandAction>,
-    outcomes: Vec<BandOutcome>,
-    band_busy: Vec<u64>,
+    runs: Vec<BandRun>,
     active_fleet: Vec<ArrayGeometry>,
 }
 
@@ -278,7 +258,6 @@ impl BandSet {
             shards,
             fleet: None,
             aux: (1..shards).map(|_| RunScratch::new()).collect(),
-            call_stats: Vec::new(),
             shard_totals: vec![SimStats::default(); shards],
             merged: SimStats::default(),
             busy_nanos: vec![0; shards],
@@ -297,8 +276,7 @@ impl BandSet {
             events: Vec::new(),
             retry_deadline: None,
             actions: Vec::new(),
-            outcomes: Vec::new(),
-            band_busy: Vec::new(),
+            runs: Vec::new(),
             active_fleet: Vec::new(),
         }
     }
@@ -336,8 +314,7 @@ impl BandSet {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, or exceeds 64 lanes while a fault
-    /// injector is installed.
+    /// Panics if `shards` is zero.
     pub fn reshape(&mut self, shards: usize) {
         self.reshape_with(BandSet::new(shards));
     }
@@ -347,17 +324,13 @@ impl BandSet {
     ///
     /// # Panics
     ///
-    /// Panics if `fleet` is empty, or longer than 64 lanes while a fault
-    /// injector is installed.
+    /// Panics if `fleet` is empty.
     pub fn reshape_fleet(&mut self, fleet: Vec<ArrayGeometry>) {
         self.reshape_with(BandSet::with_fleet(fleet));
     }
 
     fn reshape_with(&mut self, mut next: BandSet) {
         next.injector = self.injector.take();
-        if next.injector.is_some() {
-            assert!(next.shards <= 64, "fault injection supports at most 64 shard lanes");
-        }
         next.health_cfg = self.health_cfg;
         next.tracing = self.tracing;
         next.retry_deadline = self.retry_deadline;
@@ -377,12 +350,6 @@ impl BandSet {
     /// (empty unless [`BandSet::set_tracing`] is on).
     pub fn take_conv_log(&mut self) -> Vec<ConvTrace> {
         std::mem::take(&mut self.conv_log)
-    }
-
-    fn log_conv(&mut self, lane_busy: Vec<u64>) {
-        if self.conv_log.len() < MAX_CONV_LOG {
-            self.conv_log.push(ConvTrace { ended: Instant::now(), lane_busy });
-        }
     }
 
     /// Number of simulated arrays in the set.
@@ -445,13 +412,7 @@ impl BandSet {
     /// (re-planning bands over the survivors — outputs stay bit-identical
     /// by construction, only the partition changes), and re-runs faulted
     /// convs under [`ShardHealthConfig`]'s retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has more than 64 shards (the re-plan cache keys
-    /// on a lane bitmask).
     pub fn set_fault_injector(&mut self, injector: Option<Arc<dyn FaultInjector>>) {
-        assert!(self.shards <= 64, "fault injection supports at most 64 shard lanes");
         self.injector = injector;
     }
 
@@ -469,8 +430,7 @@ impl BandSet {
         self.retry_deadline = deadline;
     }
 
-    /// True when a fault injector is installed (the serving engine routes
-    /// such sets through the scatter path even at one shard).
+    /// True when a fault injector is installed.
     pub fn has_faults(&self) -> bool {
         self.injector.is_some()
     }
@@ -495,10 +455,6 @@ impl BandSet {
         if self.events.len() < MAX_HEALTH_EVENTS {
             self.events.push(event);
         }
-    }
-
-    fn active_mask(&self) -> u64 {
-        self.active.iter().fold(0u64, |mask, &lane| mask | (1u64 << lane))
     }
 
     /// Removes `lane` from the active set (never the last lane) and
@@ -531,65 +487,12 @@ impl BandSet {
 
     /// Scatters one prepared conv across the set's arrays and gathers the
     /// band outputs into `primary`'s plane (row concatenation — the plane
-    /// ends bit-identical to `run_prepared_with`).
-    pub(crate) fn run_conv(
-        &mut self,
-        sched: &TiledScheduler,
-        tiles: &PreparedPacked,
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-    ) {
-        if self.injector.is_some() {
-            self.run_conv_faulted(sched, tiles, d, primary);
-            return;
-        }
-        let idx = self.plan_index(tiles, d.cols());
-        let plan = &self.plans[idx].1;
-        // Per-lane busy deltas for this conv alone: snapshot the running
-        // clocks, scatter, subtract.
-        let busy_before = self.tracing.then(|| self.busy_nanos.clone());
-        let mut call_stats = std::mem::take(&mut self.call_stats);
-        call_stats.clear();
-        call_stats.resize(plan.len(), SimStats::default());
-        sched.run_bands_geom(
-            tiles,
-            plan,
-            self.fleet.as_deref().unwrap_or(&[]),
-            d,
-            primary,
-            &mut self.aux,
-            &mut call_stats,
-            &mut self.busy_nanos,
-        );
-        if let Some(before) = busy_before {
-            let lane_busy: Vec<u64> = self
-                .busy_nanos
-                .iter()
-                .zip(before)
-                .map(|(&now, then)| now.saturating_sub(then))
-                .collect();
-            self.log_conv(lane_busy);
-        }
-        // The merged view records the sequential-equivalent stats of the
-        // *base* array, never the per-geometry band stats (whose cycles
-        // and load cycles depend on the fleet), so merged stats stay plan-
-        // and fleet-invariant. A homogeneous one-band plan's stats already
-        // are the sequential stats — skip the recompute.
-        let seq = if self.fleet.is_none() && call_stats.len() == 1 {
-            call_stats[0]
-        } else {
-            tiles.sequential_stats(d.cols())
-        };
-        self.record(&call_stats, &seq);
-        self.call_stats = call_stats;
-    }
-
-    /// [`BandSet::run_conv`] under the fault-injection plane: consult the
-    /// injector per (lane, run), detect poisoned/dead bands from the
-    /// outcomes, quarantine lanes that trip the breaker, re-plan over the
-    /// survivors, and re-run until the conv completes cleanly (the result
-    /// is then bit-identical to the unsharded run — every row was written
-    /// by a successful band) or the retry budget/deadline is exhausted.
+    /// ends bit-identical to `run_prepared_with`). This is the one band
+    /// path, at every lane count: look up the cached plan, take each
+    /// band's action from the injector (every band runs normally without
+    /// one), scatter, score the outcomes, and re-run only on an error.
+    /// Without an injector no injector clock advances and no retry code
+    /// runs.
     ///
     /// # Panics
     ///
@@ -597,38 +500,33 @@ impl BandSet {
     /// attempt faulted; callers that must not die run the batch under
     /// [`std::panic::catch_unwind`]. Internal bookkeeping is updated
     /// *before* the throw, so the set stays consistent and reusable.
-    fn run_conv_faulted(
+    pub(crate) fn run_conv(
         &mut self,
         sched: &TiledScheduler,
         tiles: &PreparedPacked,
         d: &QuantMatrix,
         primary: &mut RunScratch,
     ) {
-        let injector = self.injector.clone().expect("faulted path needs an injector");
-        self.convs += 1;
+        let injector = self.injector.clone();
+        if injector.is_some() {
+            self.convs += 1;
+        }
         let mut attempt = 0u32;
         loop {
-            self.maybe_probe();
+            if injector.is_some() {
+                self.maybe_probe();
+            }
             let idx = self.plan_index(tiles, d.cols());
-            let plan_len = self.plans[idx].1.len();
-            debug_assert!(plan_len <= self.active.len(), "plan wider than the active set");
-
+            let plan = &self.plans[idx].2;
+            debug_assert!(plan.len() <= self.active.len(), "plan wider than the active set");
             let mut actions = std::mem::take(&mut self.actions);
             actions.clear();
-            for band in 0..plan_len {
-                let lane = self.active[band];
-                actions.push(injector.band_action(lane, self.run_counts[lane]));
-                self.run_counts[lane] += 1;
+            if let Some(injector) = &injector {
+                for &lane in &self.active[..plan.len()] {
+                    actions.push(injector.band_action(lane, self.run_counts[lane]));
+                    self.run_counts[lane] += 1;
+                }
             }
-            let mut outcomes = std::mem::take(&mut self.outcomes);
-            outcomes.clear();
-            outcomes.resize(plan_len, BandOutcome::Ran);
-            let mut call_stats = std::mem::take(&mut self.call_stats);
-            call_stats.clear();
-            call_stats.resize(plan_len, SimStats::default());
-            let mut band_busy = std::mem::take(&mut self.band_busy);
-            band_busy.clear();
-            band_busy.resize(plan_len, 0);
             // The scatter prices band `i` under lane `active[i]`'s
             // geometry, so a re-plan keeps per-geometry attribution.
             let mut active_fleet = std::mem::take(&mut self.active_fleet);
@@ -636,31 +534,28 @@ impl BandSet {
             if let Some(fleet) = &self.fleet {
                 active_fleet.extend(self.active.iter().map(|&lane| fleet[lane]));
             }
-
-            let plan = &self.plans[idx].1;
-            sched.run_bands_faulted(
+            let mut runs = std::mem::take(&mut self.runs);
+            sched.run_bands(
                 tiles,
                 plan,
                 &active_fleet,
+                &actions,
                 d,
                 primary,
                 &mut self.aux,
-                &mut call_stats,
-                &mut band_busy,
-                &actions,
-                &mut outcomes,
+                &mut runs,
             );
+            self.actions = actions;
+            self.active_fleet = active_fleet;
 
-            // Host time is real on every attempt, successful or not.
-            for band in 0..plan_len {
-                self.busy_nanos[self.active[band]] += band_busy[band];
-            }
-
-            // Score lane health from the outcomes.
+            // Host time is real on every attempt, successful or not; band
+            // `i` ran on lane `active[i]`. Score lane health from the
+            // outcomes.
             let mut any_error = false;
-            for band in 0..plan_len {
+            for (band, run) in runs.iter().enumerate() {
                 let lane = self.active[band];
-                match outcomes[band] {
+                self.busy_nanos[lane] += run.busy_nanos;
+                match run.outcome {
                     BandOutcome::Ran => {
                         self.lane_errors[lane] = 0;
                         self.lane_stalls[lane] = 0;
@@ -682,35 +577,12 @@ impl BandSet {
                 }
             }
 
-            self.actions = actions;
-            self.outcomes = outcomes;
-            self.band_busy = band_busy;
-            self.active_fleet = active_fleet;
-
             if !any_error {
-                if self.tracing {
-                    let mut lane_busy = vec![0u64; self.shards];
-                    for band in 0..plan_len {
-                        lane_busy[self.active[band]] = self.band_busy[band];
-                    }
-                    self.log_conv(lane_busy);
-                }
-                let seq = if self.fleet.is_none() && call_stats.len() == 1 {
-                    call_stats[0]
-                } else {
-                    tiles.sequential_stats(d.cols())
-                };
-                // Band i's counters fold into lane active[i]'s totals;
-                // only the clean run is recorded, so merged stats stay
-                // bit-identical to the fault-free run.
-                for (band, s) in call_stats.iter().enumerate().take(plan_len) {
-                    self.shard_totals[self.active[band]].merge(s);
-                }
-                self.merged.merge(&seq);
-                self.call_stats = call_stats;
+                self.record(tiles, d.cols(), &runs);
+                self.runs = runs;
                 return;
             }
-            self.call_stats = call_stats;
+            self.runs = runs;
 
             attempt += 1;
             self.push_event(HealthEvent::Retry { attempt });
@@ -723,35 +595,44 @@ impl BandSet {
         }
     }
 
-    /// The one-array path with the same stats accounting (shard 0 runs the
-    /// whole matrix).
-    pub(crate) fn run_conv_serial(
-        &mut self,
-        sched: &TiledScheduler,
-        tiles: &PreparedPacked,
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-    ) {
-        let t0 = Instant::now();
-        let stats = sched.run_prepared_with(tiles, d, primary);
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        self.busy_nanos[0] += elapsed;
-        if self.tracing {
-            self.log_conv(vec![elapsed]);
+    /// Folds one clean conv into the running totals: band `i`'s counters
+    /// into lane `active[i]`'s shard (cycles add — an array runs its bands
+    /// of successive layers back to back; under a fleet each band's stats
+    /// already carry its own geometry's cycle model), and the merged view
+    /// gets the *base* array's sequential-equivalent stats, never the
+    /// per-geometry band stats, so merged stats stay plan-, fleet- and
+    /// fault-invariant. Only the clean attempt is recorded. Also logs the
+    /// conv's per-lane busy time when tracing.
+    fn record(&mut self, tiles: &PreparedPacked, l: usize, runs: &[BandRun]) {
+        if self.tracing && self.conv_log.len() < MAX_CONV_LOG {
+            let mut lane_busy = vec![0u64; self.shards];
+            for (band, run) in runs.iter().enumerate() {
+                lane_busy[self.active[band]] = run.busy_nanos;
+            }
+            self.conv_log.push(ConvTrace { ended: Instant::now(), lane_busy });
         }
-        // run_prepared_with's stats *are* the sequential stats.
-        let seq = stats;
-        self.record(std::slice::from_ref(&stats), &seq);
+        for (band, run) in runs.iter().enumerate() {
+            self.shard_totals[self.active[band]].merge(&run.stats);
+        }
+        // A homogeneous one-band plan's stats already are the sequential
+        // stats — skip the recompute.
+        let seq = match runs {
+            [only] if self.fleet.is_none() => only.stats,
+            _ => tiles.sequential_stats(l),
+        };
+        self.merged.merge(&seq);
     }
 
-    /// Index of `tiles`' cached shard plan, computing and inserting it on
-    /// a miss (LRU order, most recently used last, bounded). `l` is the
-    /// stream length a fleet-weighted plan is sized for; the first call's
-    /// width shapes the cached plan (later widths reuse it — the balance
-    /// shifts only marginally with `l`, never the correctness).
+    /// Index of `tiles`' cached shard plan over the current active lanes,
+    /// computing and inserting it on a miss (LRU order, most recently used
+    /// last, bounded). `l` is the stream length a fleet-weighted plan is
+    /// sized for; the first call's width shapes the cached plan (later
+    /// widths reuse it — the balance shifts only marginally with `l`,
+    /// never the correctness).
     fn plan_index(&mut self, tiles: &PreparedPacked, l: usize) -> usize {
-        let key = PlanKey::of(tiles, self.active_mask());
-        if let Some(i) = self.plans.iter().position(|(k, _)| *k == key) {
+        let key = PlanKey::of(tiles);
+        let hit = self.plans.iter().position(|(k, lanes, _)| *k == key && *lanes == self.active);
+        if let Some(i) = hit {
             let entry = self.plans.remove(i);
             self.plans.push(entry);
         } else {
@@ -768,240 +649,9 @@ impl BandSet {
                 }
                 None => tiles.partition_row_bands(self.active.len()),
             };
-            self.plans.push((key, plan));
+            self.plans.push((key, self.active.clone(), plan));
         }
         self.plans.len() - 1
-    }
-
-    /// Folds one conv's per-band stats into the running totals: each band
-    /// into its shard (cycles add — an array runs its bands of successive
-    /// layers back to back; under a fleet each band's stats already carry
-    /// its own geometry's cycle model) and the merged view gets `seq`, the
-    /// base array's sequential-equivalent stats.
-    fn record(&mut self, per_band: &[SimStats], seq: &SimStats) {
-        for (i, s) in per_band.iter().enumerate() {
-            self.shard_totals[i].merge(s);
-        }
-        self.merged.merge(seq);
-    }
-}
-
-/// Reusable execution state for one [`ShardedNetwork`]: one activation
-/// scratch per layer shard (row-band plans use one) plus the shared
-/// [`BandSet`]. Hold one per long-lived executor and reuse it across
-/// batches — warm, a sharded run performs no steady-state allocation
-/// beyond the returned logits.
-#[derive(Debug)]
-pub struct ShardScratch {
-    acts: Vec<ActivationScratch>,
-    bands: BandSet,
-}
-
-impl ShardScratch {
-    /// Scratch sized for `sharded`'s plan.
-    pub fn for_network(sharded: &ShardedNetwork) -> Self {
-        match sharded.mode {
-            ShardMode::Layers => ShardScratch {
-                acts: (0..sharded.layer_ranges.len().max(1))
-                    .map(|_| ActivationScratch::new())
-                    .collect(),
-                bands: BandSet::new(1),
-            },
-            ShardMode::RowBands => ShardScratch {
-                acts: vec![ActivationScratch::new()],
-                bands: match &sharded.fleet {
-                    Some(fleet) => BandSet::with_fleet(fleet.clone()),
-                    None => BandSet::new(sharded.shards),
-                },
-            },
-        }
-    }
-}
-
-/// Merged and per-shard counters from one sharded batch.
-#[derive(Clone, Debug)]
-pub struct ShardStats {
-    /// Per-shard array counters: shard `i`'s `cycles` is the simulated
-    /// time its array was committed for the batch.
-    pub per_shard: Vec<SimStats>,
-    /// The work merged back together — bit-identical to the unsharded
-    /// run's conv totals (cycles are the sequential equivalent).
-    pub merged: SimStats,
-    /// Simulated-cycle makespan: the busiest shard. This is what sharding
-    /// shrinks; `merged.cycles / makespan_cycles` is the parallel speedup
-    /// the shard plan buys on simulated hardware.
-    pub makespan_cycles: u64,
-}
-
-/// A [`DeployedNetwork`] carved into shards. The network itself is shared
-/// (`Arc` internals — cloning a `DeployedNetwork` into a plan duplicates
-/// nothing), so shards reuse one prepared op list; the plan only records
-/// *how* execution scatters.
-#[derive(Clone, Debug)]
-pub struct ShardedNetwork {
-    net: DeployedNetwork,
-    mode: ShardMode,
-    shards: usize,
-    layer_ranges: Vec<Range<usize>>,
-    /// Per-shard geometries of a heterogeneous row-band fleet (`None` =
-    /// all shards are the network's own array).
-    fleet: Option<Vec<ArrayGeometry>>,
-}
-
-impl ShardedNetwork {
-    /// Plans `shards` shards of `net` in the given mode. Layer mode clamps
-    /// to the layer count (each range non-empty); row-band mode keeps the
-    /// requested width — a conv with fewer tile row-groups than shards
-    /// simply fans out as far as it can.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(net: DeployedNetwork, mode: ShardMode, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let (shards, layer_ranges) = match mode {
-            ShardMode::Layers => {
-                let ranges = partition_min_max(&net.layer_costs(), shards);
-                (ranges.len(), ranges)
-            }
-            ShardMode::RowBands => (shards, Vec::new()),
-        };
-        ShardedNetwork { net, mode, shards, layer_ranges, fleet: None }
-    }
-
-    /// Plans a row-band scatter of `net` across a heterogeneous fleet:
-    /// shard `i` simulates an array of `fleet[i]`'s geometry, and every
-    /// conv's banding is weighted by each geometry's cycle model. Outputs
-    /// stay bit-identical to the unsharded run; the per-shard stats and
-    /// makespan reflect the mixed hardware.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fleet` is empty.
-    pub fn with_fleet(net: DeployedNetwork, fleet: Vec<ArrayGeometry>) -> Self {
-        assert!(!fleet.is_empty(), "need at least one shard");
-        ShardedNetwork {
-            net,
-            mode: ShardMode::RowBands,
-            shards: fleet.len(),
-            layer_ranges: Vec::new(),
-            fleet: Some(fleet),
-        }
-    }
-
-    /// The underlying deployed pipeline.
-    pub fn network(&self) -> &DeployedNetwork {
-        &self.net
-    }
-
-    /// The shard geometry.
-    pub fn mode(&self) -> ShardMode {
-        self.mode
-    }
-
-    /// The per-shard array geometries, when this plan targets a
-    /// heterogeneous fleet.
-    pub fn fleet(&self) -> Option<&[ArrayGeometry]> {
-        self.fleet.as_deref()
-    }
-
-    /// Effective shard count (layer mode clamps to the layer count).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Layer mode's cost-balanced ranges (empty in row-band mode).
-    pub fn layer_ranges(&self) -> &[Range<usize>] {
-        &self.layer_ranges
-    }
-
-    /// Runs a batch through the shard plan, allocating fresh scratch.
-    /// Bit-identical to [`DeployedNetwork::run_batch`].
-    pub fn run_batch(&self, images: &[Tensor]) -> Vec<Vec<f32>> {
-        self.run_batch_stats(images, &mut ShardScratch::for_network(self)).0
-    }
-
-    /// [`ShardedNetwork::run_batch`] with reusable scratch, also returning
-    /// the batch's [`ShardStats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different plan shape or the
-    /// pipeline lacks a classifier head.
-    pub fn run_batch_stats(
-        &self,
-        images: &[Tensor],
-        scratch: &mut ShardScratch,
-    ) -> (Vec<Vec<f32>>, ShardStats) {
-        let sched = self.net.scheduler();
-        match self.mode {
-            ShardMode::RowBands => {
-                assert_eq!(scratch.bands.shards(), self.shards, "scratch from another plan");
-                assert_eq!(
-                    scratch.bands.fleet(),
-                    self.fleet.as_deref(),
-                    "scratch from another fleet"
-                );
-                scratch.bands.reset_stats();
-                let logits = self.net.run_batch_banded(
-                    &sched,
-                    images,
-                    &mut scratch.acts[0],
-                    &mut scratch.bands,
-                );
-                let per_shard = scratch.bands.shard_stats().to_vec();
-                let stats = ShardStats {
-                    makespan_cycles: scratch.bands.makespan_cycles(),
-                    merged: scratch.bands.merged_stats(),
-                    per_shard,
-                };
-                (logits, stats)
-            }
-            ShardMode::Layers => {
-                assert_eq!(scratch.acts.len(), self.layer_ranges.len(), "scratch from another plan");
-                if images.is_empty() {
-                    return (
-                        Vec::new(),
-                        ShardStats {
-                            per_shard: vec![SimStats::default(); self.shards],
-                            merged: SimStats::default(),
-                            makespan_cycles: 0,
-                        },
-                    );
-                }
-                let mut data = BatchOutput::Maps(
-                    self.net.quantize_batch_scratch(images, &mut scratch.acts[0]),
-                );
-                let mut per_shard = Vec::with_capacity(self.layer_ranges.len());
-                let mut merged = SimStats::default();
-                for (i, range) in self.layer_ranges.iter().enumerate() {
-                    scratch.bands.reset_stats();
-                    data = self.net.run_stage_banded(
-                        range.clone(),
-                        data,
-                        &sched,
-                        &mut scratch.acts[i],
-                        &mut scratch.bands,
-                    );
-                    let shard = scratch.bands.merged_stats();
-                    merged.merge(&shard);
-                    per_shard.push(shard);
-                }
-                let logits = match data {
-                    BatchOutput::Logits(l) => l,
-                    BatchOutput::Maps(_) => panic!("deployed network has no classifier head"),
-                };
-                // Layer shards also run side by side in steady state
-                // (batches pipeline through them), so the makespan is the
-                // same concurrent fold.
-                let mut concurrent = SimStats::default();
-                for s in &per_shard {
-                    concurrent.merge_concurrent(s);
-                }
-                let makespan_cycles = concurrent.cycles;
-                (logits, ShardStats { per_shard, merged, makespan_cycles })
-            }
-        }
     }
 }
 
@@ -1009,10 +659,13 @@ impl ShardedNetwork {
 mod tests {
     use super::*;
     use crate::builder::identity_groups;
+    use crate::{ActivationScratch, BatchOutput, DeployedNetwork};
     use cc_dataset::SyntheticSpec;
     use cc_nn::models::{lenet5_shift, resnet20_shift, ModelConfig};
     use cc_systolic::array::ArrayConfig;
+    use cc_systolic::partition_min_max;
     use cc_tensor::quant::AccumWidth;
+    use cc_tensor::Tensor;
 
     fn small_array() -> ArrayConfig {
         // A deliberately small array so even tiny test networks span
@@ -1030,31 +683,77 @@ mod tests {
         (deployed, images)
     }
 
+    /// One sharded batch: logits plus per-shard, merged, and makespan
+    /// counters.
+    struct Sharded {
+        logits: Vec<Vec<f32>>,
+        per_shard: Vec<SimStats>,
+        merged: SimStats,
+        makespan: u64,
+    }
+
+    /// Row-band sharding: the whole network through `bands`.
+    fn row_bands(net: &DeployedNetwork, images: &[Tensor], bands: &mut BandSet) -> Sharded {
+        bands.reset_stats();
+        let mut scratch = ActivationScratch::new();
+        let logits = net.run_batch_banded(&net.scheduler(), images, &mut scratch, bands);
+        Sharded {
+            logits,
+            per_shard: bands.shard_stats().to_vec(),
+            merged: bands.merged_stats(),
+            makespan: bands.makespan_cycles(),
+        }
+    }
+
+    /// Layer cuts as stage ranges: `partition_min_max` over the layer
+    /// costs, one `run_stage` per range on its own one-array set, the
+    /// ranges folded as concurrently running arrays.
+    fn layer_cuts(net: &DeployedNetwork, images: &[Tensor], k: usize) -> Sharded {
+        let sched = net.scheduler();
+        let mut scratch = ActivationScratch::new();
+        let mut data = BatchOutput::Maps(net.quantize_batch_scratch(images, &mut scratch));
+        let mut per_shard = Vec::new();
+        for range in partition_min_max(&net.layer_costs(), k) {
+            let mut bands = BandSet::new(1);
+            data = net.run_stage(range, data, &sched, &mut scratch, Some(&mut bands));
+            per_shard.push(bands.merged_stats());
+        }
+        let BatchOutput::Logits(logits) = data else { panic!("no classifier head") };
+        let (mut merged, mut concurrent) = (SimStats::default(), SimStats::default());
+        for s in &per_shard {
+            merged.merge(s);
+            concurrent.merge_concurrent(s);
+        }
+        Sharded { logits, per_shard, merged, makespan: concurrent.cycles }
+    }
+
     #[test]
     fn sharded_lenet_matches_unsharded_in_both_modes() {
         let (deployed, images) = lenet_fixture();
         let serial = deployed.run_batch(&images);
         let mut merged_reference: Option<SimStats> = None;
-        for mode in [ShardMode::Layers, ShardMode::RowBands] {
+        for layers in [true, false] {
             for shards in 1..=4 {
-                let plan = ShardedNetwork::new(deployed.clone(), mode, shards);
-                let mut scratch = ShardScratch::for_network(&plan);
-                let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
-                assert_eq!(logits, serial, "{mode:?} at {shards} shards diverged");
+                let run = if layers {
+                    layer_cuts(&deployed, &images, shards)
+                } else {
+                    row_bands(&deployed, &images, &mut BandSet::new(shards))
+                };
+                assert_eq!(run.logits, serial, "layers={layers} at {shards} shards diverged");
                 // The merged counters are plan-invariant: every geometry
                 // reassembles the same unsharded work, cycles included.
                 match &merged_reference {
-                    None => merged_reference = Some(stats.merged),
+                    None => merged_reference = Some(run.merged),
                     Some(reference) => assert_eq!(
-                        &stats.merged, reference,
-                        "{mode:?} at {shards} shards merged stats diverged"
+                        &run.merged, reference,
+                        "layers={layers} at {shards} shards merged stats diverged"
                     ),
                 }
                 assert!(
-                    stats.makespan_cycles <= stats.merged.cycles,
+                    run.makespan <= run.merged.cycles,
                     "makespan cannot exceed the sequential run"
                 );
-                assert!(stats.makespan_cycles > 0, "conv work must land somewhere");
+                assert!(run.makespan > 0, "conv work must land somewhere");
             }
         }
     }
@@ -1068,20 +767,18 @@ mod tests {
             DeployedNetwork::build_with_array(&net, &identity_groups(&net), &train, small_array());
         let images: Vec<Tensor> = (0..test.len()).map(|i| test.image(i).clone()).collect();
         let serial = deployed.run_batch(&images);
-        for mode in [ShardMode::Layers, ShardMode::RowBands] {
-            let plan = ShardedNetwork::new(deployed.clone(), mode, 3);
-            assert_eq!(plan.run_batch(&images), serial, "{mode:?} diverged on residuals");
-        }
+        assert_eq!(layer_cuts(&deployed, &images, 3).logits, serial, "layer cuts diverged");
+        assert_eq!(
+            row_bands(&deployed, &images, &mut BandSet::new(3)).logits,
+            serial,
+            "row bands diverged on residuals"
+        );
     }
 
     #[test]
     fn row_band_makespan_shrinks_with_shards() {
         let (deployed, images) = lenet_fixture();
-        let makespan = |shards| {
-            let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, shards);
-            let mut scratch = ShardScratch::for_network(&plan);
-            plan.run_batch_stats(&images, &mut scratch).1.makespan_cycles
-        };
+        let makespan = |shards| row_bands(&deployed, &images, &mut BandSet::new(shards)).makespan;
         let m1 = makespan(1);
         let m4 = makespan(4);
         assert!(
@@ -1093,33 +790,33 @@ mod tests {
     #[test]
     fn layer_mode_clamps_and_reports_ranges() {
         let (deployed, _) = lenet_fixture();
-        let plan = ShardedNetwork::new(deployed.clone(), ShardMode::Layers, 100);
-        assert_eq!(plan.shards(), deployed.num_layers());
-        assert_eq!(plan.layer_ranges().len(), plan.shards());
-        assert_eq!(plan.layer_ranges().last().unwrap().end, deployed.num_layers());
+        let ranges = partition_min_max(&deployed.layer_costs(), 100);
+        assert_eq!(ranges.len(), deployed.num_layers());
+        assert_eq!(ranges.last().unwrap().end, deployed.num_layers());
     }
 
     #[test]
     fn sharded_scratch_reuse_is_stable_and_warm() {
         let (deployed, images) = lenet_fixture();
-        let plan = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 3);
-        let mut scratch = ShardScratch::for_network(&plan);
-        let (first, _) = plan.run_batch_stats(&images, &mut scratch);
+        let sched = deployed.scheduler();
+        let mut bands = BandSet::new(3);
+        let mut acts = ActivationScratch::new();
+        let first = deployed.run_batch_banded(&sched, &images, &mut acts, &mut bands);
         // Warm-up round two, then assert the pools stop growing.
-        plan.run_batch_stats(&images, &mut scratch);
-        let warm_bufs = scratch.acts[0].buffer_allocations();
-        let warm_shells = scratch.acts[0].shell_allocations();
+        deployed.run_batch_banded(&sched, &images, &mut acts, &mut bands);
+        let warm_bufs = acts.buffer_allocations();
+        let warm_shells = acts.shell_allocations();
         for round in 0..3 {
-            let (logits, _) = plan.run_batch_stats(&images, &mut scratch);
+            let logits = deployed.run_batch_banded(&sched, &images, &mut acts, &mut bands);
             assert_eq!(logits, first, "scratch reuse diverged on round {round}");
         }
         assert_eq!(
-            scratch.acts[0].buffer_allocations(),
+            acts.buffer_allocations(),
             warm_bufs,
             "steady-state sharded run allocated activation buffers"
         );
         assert_eq!(
-            scratch.acts[0].shell_allocations(),
+            acts.shell_allocations(),
             warm_shells,
             "steady-state sharded run allocated batch shells"
         );
@@ -1131,6 +828,28 @@ mod tests {
         BandSet::new(0);
     }
 
+    /// Regression: a set wider than 64 lanes used to overflow the
+    /// plan-cache lane bitmask (`1 << lane`) on the healthy path — a panic
+    /// in debug builds, an aliased cache key in release. Any width must
+    /// run, with or without a fault injector, and stay bit-identical.
+    #[test]
+    fn sets_wider_than_64_lanes_run_bit_identically() {
+        #[derive(Debug)]
+        struct AlwaysRun;
+        impl FaultInjector for AlwaysRun {
+            fn band_action(&self, _lane: usize, _run: u64) -> BandAction {
+                BandAction::Run
+            }
+        }
+        let (deployed, images) = lenet_fixture();
+        let serial = deployed.run_batch(&images);
+        let mut bands = BandSet::new(65);
+        assert_eq!(row_bands(&deployed, &images, &mut bands).logits, serial);
+        bands.set_fault_injector(Some(Arc::new(AlwaysRun)));
+        bands.reshape(70);
+        assert_eq!(row_bands(&deployed, &images, &mut bands).logits, serial);
+    }
+
     /// Heterogeneous fleets must stay bit-identical to the unsharded run
     /// and to every homogeneous plan — merged stats included, which are
     /// fleet-invariant by construction.
@@ -1138,24 +857,19 @@ mod tests {
     fn hetero_fleet_matches_unsharded_with_invariant_merged_stats() {
         let (deployed, images) = lenet_fixture();
         let serial = deployed.run_batch(&images);
-        let uniform = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 1);
-        let reference_merged = uniform
-            .run_batch_stats(&images, &mut ShardScratch::for_network(&uniform))
-            .1
-            .merged;
+        let reference_merged = row_bands(&deployed, &images, &mut BandSet::new(1)).merged;
         let fleets = [
             vec![ArrayGeometry::new(4, 8), ArrayGeometry::new(2, 4)],
             vec![ArrayGeometry::new(4, 8), ArrayGeometry::new(2, 8), ArrayGeometry::new(2, 4)],
             vec![ArrayGeometry::new(2, 2)],
         ];
         for fleet in fleets {
-            let plan = ShardedNetwork::with_fleet(deployed.clone(), fleet.clone());
-            assert_eq!(plan.fleet(), Some(&fleet[..]));
-            let mut scratch = ShardScratch::for_network(&plan);
-            let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
-            assert_eq!(logits, serial, "fleet {fleet:?} diverged");
+            let mut bands = BandSet::with_fleet(fleet.clone());
+            assert_eq!(bands.fleet(), Some(&fleet[..]));
+            let run = row_bands(&deployed, &images, &mut bands);
+            assert_eq!(run.logits, serial, "fleet {fleet:?} diverged");
             assert_eq!(
-                stats.merged, reference_merged,
+                run.merged, reference_merged,
                 "merged stats must be fleet-invariant for {fleet:?}"
             );
         }
@@ -1171,16 +885,11 @@ mod tests {
         let weak = ArrayGeometry::new(2, 4);
 
         // Everything on one weak array: the baseline a mixed fleet must beat.
-        let weak_alone = ShardedNetwork::with_fleet(deployed.clone(), vec![weak]);
-        let weak_makespan = weak_alone
-            .run_batch_stats(&images, &mut ShardScratch::for_network(&weak_alone))
-            .1
-            .makespan_cycles;
+        let weak_makespan =
+            row_bands(&deployed, &images, &mut BandSet::with_fleet(vec![weak])).makespan;
 
-        let mixed =
-            ShardedNetwork::with_fleet(deployed.clone(), vec![ArrayGeometry::new(4, 8), weak]);
-        let mut scratch = ShardScratch::for_network(&mixed);
-        let (_, stats) = mixed.run_batch_stats(&images, &mut scratch);
+        let mut mixed = BandSet::with_fleet(vec![ArrayGeometry::new(4, 8), weak]);
+        let stats = row_bands(&deployed, &images, &mut mixed);
         assert_eq!(stats.per_shard.len(), 2);
         assert!(
             stats.per_shard.iter().all(|s| s.cycles > 0),
@@ -1188,26 +897,22 @@ mod tests {
         );
         // The makespan is the concurrent fold of per-geometry totals...
         assert_eq!(
-            stats.makespan_cycles,
+            stats.makespan,
             stats.per_shard.iter().map(|s| s.cycles).max().unwrap()
         );
         // ...and the weighted plan beats running everything on the weak
         // array (the homogeneous-cost planner had no way to know).
         assert!(
-            stats.makespan_cycles < weak_makespan,
+            stats.makespan < weak_makespan,
             "mixed fleet {} must beat the weak array alone {}",
-            stats.makespan_cycles,
+            stats.makespan,
             weak_makespan
         );
         // Direct attribution check: one weak shard runs the very same
         // bands as one base shard (the full matrix), so the old
         // shared-cycle-cost accounting would price them identically — the
         // weak geometry must cost strictly more.
-        let base_alone = ShardedNetwork::new(deployed.clone(), ShardMode::RowBands, 1);
-        let base_makespan = base_alone
-            .run_batch_stats(&images, &mut ShardScratch::for_network(&base_alone))
-            .1
-            .makespan_cycles;
+        let base_makespan = row_bands(&deployed, &images, &mut BandSet::new(1)).makespan;
         assert!(
             weak_makespan > base_makespan,
             "a 2x4 array must be priced above the 4x8 base on identical bands: \

@@ -285,12 +285,12 @@ impl<T: Send + 'static> PipelineExecutor<T> {
                                         }
                                     }
                                 }
-                                stage_net.run_stage_banded(
+                                stage_net.run_stage(
                                     range.clone(),
                                     data,
                                     &sched,
                                     &mut scratch,
-                                    &mut bands,
+                                    Some(&mut bands),
                                 )
                             }));
                             if let Some(t) = &stage_telemetry {

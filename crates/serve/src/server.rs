@@ -5,7 +5,7 @@
 //!  submit() ──cache hit?──▶ reply immediately (no array pass)
 //!     │ miss
 //!     ├──quota/try_send──▶ [bounded ingress] ──▶ batcher ──▶ [rendezvous] ──▶ worker 0..W
-//!     │ full?                                    │ shed blown deadlines       │ run_batch_with,
+//!     │ full?                                    │ shed blown deadlines       │ run_batch_banded,
 //!     ▼ shed                                     │ seed best (class, age)     │ or K-stage pipeline
 //!                                                ▼ coalesce per pipeline      ▼ reply + cache fill
 //! ```

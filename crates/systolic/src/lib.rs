@@ -18,6 +18,18 @@
 //! and accounts cycles with the dataflow model of Figs. 9/14a. Simulated
 //! outputs of packed arrays are validated against reference sparse GEMMs.
 //!
+//! # Execution paths
+//!
+//! A packed layer runs one way: [`TiledScheduler::prepare_packed`] once,
+//! then [`TiledScheduler::run_prepared_with`] per call on one array, or
+//! [`TiledScheduler::run_bands`] to scatter row bands across several
+//! (optionally heterogeneous, optionally fault-injected) arrays. Two
+//! slower entry points are **test oracles**, kept only to validate and
+//! benchmark that path bit for bit:
+//! [`TiledScheduler::run_packed_reference`] (the seed indexed simulation)
+//! and [`TiledScheduler::run_prepared_scalar_with`] (the one-op-at-a-time
+//! sweep).
+//!
 //! # Examples
 //!
 //! ```
@@ -49,5 +61,6 @@ pub use cell::CellKind;
 pub use partition::{partition_bottleneck, partition_min_max, partition_min_max_by};
 pub use pipeline::{pipeline_latency, LayerShape, PipelineReport};
 pub use tiled::{
-    BandAction, BandOutcome, PreparedPacked, RowBand, RunScratch, TiledRun, TiledScheduler,
+    BandAction, BandOutcome, BandRun, PreparedPacked, RowBand, RunScratch, TiledRun,
+    TiledScheduler,
 };

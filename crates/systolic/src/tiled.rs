@@ -22,7 +22,7 @@
 //! `exact_bitserial` dispatch hoisted out of the inner loop — that writes
 //! into a caller-owned [`RunScratch`] and assembles [`SimStats`] by
 //! O(tiles) addition, with zero allocations once the scratch has warmed
-//! up. The original per-call path survives as
+//! up. The original per-call path survives as the test oracle
 //! [`TiledScheduler::run_packed_reference`], the bit-exactness baseline
 //! for tests and benchmarks.
 //!
@@ -32,8 +32,8 @@
 //! op applies across all `l` batch positions of its output row as an
 //! explicit chunked lane sweep (`LANE_CHUNK`-wide fixed-size chunks the
 //! autovectorizer turns into vector MACs, ops fused in pairs so each
-//! accumulator chunk is loaded and stored once per two MACs). The PR 4
-//! one-op-at-a-time loop survives as
+//! accumulator chunk is loaded and stored once per two MACs). The
+//! one-op-at-a-time loop survives as the test oracle
 //! [`TiledScheduler::run_prepared_scalar_with`], the live baseline
 //! `kernel_bench`'s scalar-vs-lane rows and the CI lane gate measure
 //! against. All kernels and the stats model share one tile/row/op walk
@@ -46,22 +46,23 @@
 //! [`PreparedPacked`]'s tile row-groups, so N shards share a single
 //! prepared op list instead of re-preparing per shard.
 //! [`PreparedPacked::partition_row_bands`] balances the bands by op count
-//! (the min-max DP from [`crate::partition`]);
-//! [`TiledScheduler::run_band_with`] executes one band into its row slice
-//! of the output plane, and [`TiledScheduler::run_bands_with`] scatters a
-//! plan across scoped threads (one simulated array each) and gathers by
-//! construction — bands own disjoint output rows, so the gather is pure
-//! row concatenation and the assembled plane is bit-identical to the
-//! unsharded [`TiledScheduler::run_prepared_with`] (which is itself now
-//! the one-band special case).
+//! (the min-max DP from [`crate::partition`]), and
+//! [`TiledScheduler::run_bands`] — the one multi-band entry point —
+//! scatters a plan across scoped threads (one simulated array each) and
+//! gathers by construction: bands own disjoint output rows, so the gather
+//! is pure row concatenation and the assembled plane is bit-identical to
+//! the unsharded [`TiledScheduler::run_prepared_with`] (which runs the
+//! same band kernel over the one-band [`PreparedPacked::full_band`]). The
+//! same call carries an optional per-band [`BandAction`] (the
+//! fault-injection plane) and reports each band's [`BandRun`].
 //!
 //! ## Heterogeneous fleets
 //!
 //! The arrays of a scatter need not be identical:
 //! [`PreparedPacked::partition_row_bands_for`] weights the banding DP by
 //! each target [`ArrayGeometry`]'s cycle model, and
-//! [`TiledScheduler::run_bands_geom`] runs band `i` under `fleet[i]`'s
-//! model. Execution always sweeps the *shared* base op list — outputs stay
+//! [`TiledScheduler::run_bands`] runs band `i` under `fleet[i]`'s model.
+//! Execution always sweeps the *shared* base op list — outputs stay
 //! bit-identical to the unsharded run no matter the fleet — while each
 //! band's [`SimStats`] re-tile its prepared tiles into geometry-sized
 //! physical tiles (a smaller array pays more loads and more skew).
@@ -153,11 +154,12 @@ impl TiledScheduler {
         self.run_prepared(&self.prepare_packed(p), d)
     }
 
-    /// The seed per-call path: slices the packed matrix into array tiles
-    /// and runs each through the indexed [`SystolicArray::multiply_packed`]
-    /// simulation. Bit-identical to [`TiledScheduler::run_prepared`] on
-    /// the same matrix — kept as the ground-truth baseline the prepared
-    /// op-list kernel is validated (and benchmarked) against.
+    /// **Test oracle**, not a serving path — the seed per-call path: slices
+    /// the packed matrix into array tiles and runs each through the
+    /// indexed [`SystolicArray::multiply_packed`] simulation.
+    /// Bit-identical to [`TiledScheduler::run_prepared`] on the same
+    /// matrix — kept as the ground-truth baseline the prepared op-list
+    /// kernel is validated (and benchmarked) against.
     ///
     /// # Panics
     ///
@@ -269,67 +271,18 @@ impl TiledScheduler {
         d: &QuantMatrix,
         scratch: &mut RunScratch,
     ) -> SimStats {
-        let band = p.full_band();
-        let l = d.cols();
-        // The output plane moves out of the scratch for the duration of
-        // the run so the band kernel can borrow the lane planes mutably
-        // alongside it; capacity is preserved, so this stays
-        // allocation-free once warm. Stale contents are fine — both band
-        // kernels fully overwrite (or re-zero) their slice — so at a
-        // steady-state size the resize is a no-op, not a memset.
-        let mut out = std::mem::take(&mut scratch.out);
-        out.resize(p.rows * l, 0);
-        let stats = self.run_band_with(p, &band, d, &mut out, scratch);
-        scratch.out = out;
-        stats
+        self.run_full(p, d, scratch, false)
     }
 
-    /// Runs only `band`'s tiles against `d`, widening the band's output
-    /// rows into `out` — the `band.rows()` row slice of the full output
-    /// plane (`band` rows × `d.cols()` accumulator words). `scratch`
-    /// supplies the native accumulator lanes only; reusing one per shard
-    /// keeps repeated band runs allocation-free. The returned [`SimStats`]
-    /// model *this band's array alone*: the overlap cycle model over the
-    /// band's tile subsequence plus the band's share of the op counters
-    /// (op counters and `load_cycles` of a full partition sum exactly to
-    /// the unsharded run's).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tiles were prepared for a different array
-    /// configuration, `d` lacks channels the packing references, or `out`
-    /// is not sized `band` rows × `d.cols()`.
-    pub fn run_band_with(
-        &self,
-        p: &PreparedPacked,
-        band: &RowBand,
-        d: &QuantMatrix,
-        out: &mut [i64],
-        scratch: &mut RunScratch,
-    ) -> SimStats {
-        self.run_band_geom(p, band, self.cfg.geometry(), d, out, scratch)
-    }
-
-    /// [`TiledScheduler::run_band_with`] with the band's array replaced by
-    /// an arbitrary [`ArrayGeometry`]: the *outputs* are bit-identical
-    /// regardless of `geom` (the shared base op list is what executes),
-    /// while the returned [`SimStats`] model the band's prepared tiles
-    /// re-tiled into `geom`-sized physical tiles — a geometry equal to the
-    /// preparing config's reproduces [`TiledScheduler::run_band_with`]'s
-    /// stats exactly.
-    pub fn run_band_geom(
-        &self,
-        p: &PreparedPacked,
-        band: &RowBand,
-        geom: ArrayGeometry,
-        d: &QuantMatrix,
-        out: &mut [i64],
-        scratch: &mut RunScratch,
-    ) -> SimStats {
-        self.run_band_kernel(p, band, geom, d, out, scratch, false)
-    }
-
-    fn run_band_kernel(
+    /// Runs `band`'s tiles against `d` under `geom`'s cycle model,
+    /// widening the band's output rows into `out` — the `band.rows()` row
+    /// slice of the full output plane. `scratch` supplies the native
+    /// accumulator lanes only. The outputs never depend on `geom` (the
+    /// shared base op list is what executes); the returned [`SimStats`]
+    /// model this band's array alone, its prepared tiles re-tiled into
+    /// `geom`-sized physical tiles. `scalar` selects the one-op-at-a-time
+    /// baseline sweep instead of the batch-major lane sweep.
+    fn run_band_geom(
         &self,
         p: &PreparedPacked,
         band: &RowBand,
@@ -368,12 +321,12 @@ impl TiledScheduler {
         band_stats_geom(tiles, geom, self.cfg.acc, l)
     }
 
-    /// The scalar op-list baseline: bit-identical outputs and stats to
-    /// [`TiledScheduler::run_prepared_with`], but the inner sweep applies
-    /// one op at a time across the row (the PR 4 loop) instead of the
-    /// batch-major fused lane sweep. Not a serving path — it exists so the
-    /// lane kernel is always measured against a live scalar baseline
-    /// (`kernel_bench`, the CI lane gate, and the kernel proptests). Under
+    /// **Test oracle** for the lane kernel: bit-identical outputs and
+    /// stats to [`TiledScheduler::run_prepared_with`], but the inner sweep
+    /// applies one op at a time across the row instead of the batch-major
+    /// fused lane sweep. Not a serving path — it exists so the lane kernel
+    /// is always measured against a live scalar baseline (`kernel_bench`,
+    /// the CI lane gate, and the kernel proptests). Under
     /// `exact_bitserial` both entry points run the same exact kernel.
     pub fn run_prepared_scalar_with(
         &self,
@@ -381,262 +334,159 @@ impl TiledScheduler {
         d: &QuantMatrix,
         scratch: &mut RunScratch,
     ) -> SimStats {
-        let band = p.full_band();
-        let l = d.cols();
+        self.run_full(p, d, scratch, true)
+    }
+
+    /// Runs the whole matrix as one band into `scratch`'s output plane.
+    fn run_full(
+        &self,
+        p: &PreparedPacked,
+        d: &QuantMatrix,
+        scratch: &mut RunScratch,
+        scalar: bool,
+    ) -> SimStats {
+        // The output plane moves out of the scratch for the duration of
+        // the run so the band kernel can borrow the lane planes mutably
+        // alongside it; capacity is preserved, so this stays
+        // allocation-free once warm. Stale contents are fine — every band
+        // kernel fully overwrites (or re-zeroes) its slice — so at a
+        // steady-state size the resize is a no-op, not a memset.
         let mut out = std::mem::take(&mut scratch.out);
-        out.resize(p.rows * l, 0);
-        let stats =
-            self.run_band_kernel(p, &band, self.cfg.geometry(), d, &mut out, scratch, true);
+        out.resize(p.rows * d.cols(), 0);
+        let (band, geom) = (p.full_band(), self.cfg.geometry());
+        let stats = self.run_band_geom(p, &band, geom, d, &mut out, scratch, scalar);
         scratch.out = out;
         stats
     }
 
     /// Scatter/gather execution of a row-band shard `plan`: each band runs
-    /// on its own thread (its own simulated array) with its own lane
-    /// scratch, all writing disjoint row slices of `primary`'s output
-    /// plane, so after the call [`RunScratch::outputs`] on `primary` holds
-    /// exactly what [`TiledScheduler::run_prepared_with`] would have
-    /// produced — the gather is row concatenation by construction. Band 0
-    /// executes on the calling thread with `primary`'s lanes; bands `i ≥ 1`
-    /// execute on scoped threads with `aux[i-1]`. Per-band [`SimStats`]
-    /// land in `stats` and per-band host-time nanoseconds are *added* to
-    /// `busy` (shard occupancy accounting).
+    /// on its own simulated array with its own lane scratch, all writing
+    /// disjoint row slices of `primary`'s output plane, so after a clean
+    /// run [`RunScratch::outputs`] on `primary` holds exactly what
+    /// [`TiledScheduler::run_prepared_with`] would have produced — the
+    /// gather is row concatenation by construction. Band 0 executes on the
+    /// calling thread with `primary`'s lanes; bands `i ≥ 1` execute on
+    /// scoped threads with `aux[i-1]` (a one-band plan spawns no thread).
+    ///
+    /// Band `i` runs under `fleet[i]`'s cycle model (an empty `fleet`
+    /// means the preparing config's geometry for every band) and under
+    /// `actions[i]` (an empty `actions` means every band runs normally).
+    /// `runs` is resized to the plan and receives each band's
+    /// [`BandRun`]. With every outcome [`BandOutcome::Ran`] or
+    /// [`BandOutcome::Stalled`] the gathered plane is bit-identical to the
+    /// unsharded run; a `Poisoned` band's rows are corrupted and a `Dead`
+    /// band's rows are stale — the caller owns detection (via the
+    /// outcomes) and recovery (re-planning and re-running).
     ///
     /// # Panics
     ///
     /// Panics if `plan` is empty or does not cover the matrix's rows
-    /// contiguously from 0, or if `aux`, `stats`, or `busy` are shorter
-    /// than the plan requires.
-    pub fn run_bands_with(
-        &self,
-        p: &PreparedPacked,
-        plan: &[RowBand],
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-        aux: &mut [RunScratch],
-        stats: &mut [SimStats],
-        busy: &mut [u64],
-    ) {
-        self.run_bands_geom(p, plan, &[], d, primary, aux, stats, busy);
-    }
-
-    /// [`TiledScheduler::run_bands_with`] over a heterogeneous fleet: band
-    /// `i` runs under `fleet[i]`'s cycle model (its own simulated array
-    /// geometry), so the per-band [`SimStats`] attribute cycles per
-    /// geometry. An empty `fleet` means every band uses the preparing
-    /// config's geometry — exactly [`TiledScheduler::run_bands_with`]. The
-    /// gathered output plane is bit-identical to the unsharded run either
-    /// way; only the stats model varies.
-    ///
-    /// # Panics
-    ///
-    /// As [`TiledScheduler::run_bands_with`], plus if a non-empty `fleet`
-    /// is shorter than `plan`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_bands_geom(
+    /// contiguously from 0, if `aux` is shorter than the plan requires, or
+    /// if a non-empty `fleet` or `actions` is shorter than `plan`.
+    pub fn run_bands(
         &self,
         p: &PreparedPacked,
         plan: &[RowBand],
         fleet: &[ArrayGeometry],
+        actions: &[BandAction],
         d: &QuantMatrix,
         primary: &mut RunScratch,
         aux: &mut [RunScratch],
-        stats: &mut [SimStats],
-        busy: &mut [u64],
+        runs: &mut Vec<BandRun>,
     ) {
         assert!(!plan.is_empty(), "empty shard plan");
-        assert!(
-            fleet.is_empty() || fleet.len() >= plan.len(),
-            "need one geometry per band"
-        );
-        let geom_of =
-            |i: usize| fleet.get(i).copied().unwrap_or_else(|| self.cfg.geometry());
+        assert!(fleet.is_empty() || fleet.len() >= plan.len(), "need one geometry per band");
+        assert!(actions.is_empty() || actions.len() >= plan.len(), "need one action per band");
         assert_eq!(plan[0].rows.start, 0, "plan must start at row 0");
-        assert_eq!(plan.last().unwrap().rows.end, p.rows, "plan must cover every row");
+        assert_eq!(plan[plan.len() - 1].rows.end, p.rows, "plan must cover every row");
         for pair in plan.windows(2) {
             assert_eq!(pair[0].rows.end, pair[1].rows.start, "plan bands must be contiguous");
         }
         assert!(aux.len() + 1 >= plan.len(), "need one aux scratch per extra band");
-        assert!(stats.len() >= plan.len(), "need one stats slot per band");
-        assert!(busy.len() >= plan.len(), "need one busy slot per band");
+        let geom_of = |i: usize| fleet.get(i).copied().unwrap_or_else(|| self.cfg.geometry());
+        let action_of = |i: usize| actions.get(i).copied().unwrap_or_default();
+        runs.clear();
+        runs.resize(plan.len(), BandRun::default());
 
         let l = d.cols();
-        // As in run_prepared_with: every band fully overwrites its row
-        // slice, so no zero-fill is needed at a steady-state size.
+        // As in run_full: every band fully overwrites its row slice, so no
+        // zero-fill is needed at a steady-state size.
         let mut out = std::mem::take(&mut primary.out);
         out.resize(p.rows * l, 0);
-
-        if plan.len() == 1 {
-            let t0 = Instant::now();
-            stats[0] = self.run_band_geom(p, &plan[0], geom_of(0), d, &mut out, primary);
-            busy[0] += t0.elapsed().as_nanos() as u64;
-            primary.out = out;
-            return;
-        }
-
-        let (band0, rest_bands) = plan.split_first().expect("non-empty plan");
+        let (band0, rest) = plan.split_first().expect("non-empty plan");
         let (out0, mut out_tail) = out.split_at_mut(band0.rows.len() * l);
-        let (stat0, stats_rest) = stats.split_first_mut().expect("stats sized");
-        let (busy0, busy_rest) = busy.split_first_mut().expect("busy sized");
-        std::thread::scope(|scope| {
-            for (i, (((band, scratch), stat), busy_slot)) in rest_bands
-                .iter()
-                .zip(aux.iter_mut())
-                .zip(stats_rest.iter_mut())
-                .zip(busy_rest.iter_mut())
-                .enumerate()
-            {
-                let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
-                out_tail = tail;
-                let sched = *self;
-                let geom = geom_of(i + 1);
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    *stat = sched.run_band_geom(p, band, geom, d, slice, scratch);
-                    *busy_slot += t0.elapsed().as_nanos() as u64;
-                });
-            }
-            let t0 = Instant::now();
-            *stat0 = self.run_band_geom(p, band0, geom_of(0), d, out0, primary);
-            *busy0 += t0.elapsed().as_nanos() as u64;
-        });
+        let (run0, runs_rest) = runs.split_first_mut().expect("runs sized");
+        if rest.is_empty() {
+            *run0 = self.run_band_act(p, band0, geom_of(0), action_of(0), d, out0, primary);
+        } else {
+            std::thread::scope(|scope| {
+                for (i, ((band, scratch), slot)) in
+                    rest.iter().zip(aux.iter_mut()).zip(runs_rest.iter_mut()).enumerate()
+                {
+                    let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
+                    out_tail = tail;
+                    let (sched, geom, action) = (*self, geom_of(i + 1), action_of(i + 1));
+                    scope.spawn(move || {
+                        *slot = sched.run_band_act(p, band, geom, action, d, slice, scratch);
+                    });
+                }
+                *run0 = self.run_band_act(p, band0, geom_of(0), action_of(0), d, out0, primary);
+            });
+        }
         primary.out = out;
     }
 
-    /// Runs one band under a fault-injection [`BandAction`], reporting
-    /// what happened as a [`BandOutcome`]. `Run` and `Stall` produce the
-    /// band's correct output rows (a stall merely sleeps first, modeling
-    /// a slow array); `Poison` computes the correct rows and then
-    /// corrupts them in place (a sick array returning garbage); `Dead`
-    /// touches nothing — the band's slice of `out` keeps whatever stale
-    /// contents it had, and the returned stats are zero.
+    /// Runs one band under a fault-injection [`BandAction`], timing it on
+    /// the host clock. `Run` and `Stall` produce the band's correct output
+    /// rows (a stall merely sleeps first, modeling a slow array); `Poison`
+    /// computes the correct rows and then corrupts them in place (a sick
+    /// array returning garbage); `Dead` touches nothing — the band's slice
+    /// of `out` keeps whatever stale contents it had, and its stats are
+    /// zero.
+    #[allow(clippy::too_many_arguments)]
     fn run_band_act(
         &self,
         p: &PreparedPacked,
         band: &RowBand,
         geom: ArrayGeometry,
+        action: BandAction,
         d: &QuantMatrix,
         out: &mut [i64],
         scratch: &mut RunScratch,
-        action: BandAction,
-    ) -> (SimStats, BandOutcome) {
-        match action {
-            BandAction::Run => (self.run_band_geom(p, band, geom, d, out, scratch), BandOutcome::Ran),
+    ) -> BandRun {
+        let t0 = Instant::now();
+        let mut run = |out: &mut [i64]| self.run_band_geom(p, band, geom, d, out, scratch, false);
+        let (stats, outcome) = match action {
+            BandAction::Run => (run(out), BandOutcome::Ran),
             BandAction::Stall(micros) => {
                 std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
-                (self.run_band_geom(p, band, geom, d, out, scratch), BandOutcome::Stalled)
+                (run(out), BandOutcome::Stalled)
             }
             BandAction::Poison => {
-                let stats = self.run_band_geom(p, band, geom, d, out, scratch);
-                for word in out.iter_mut() {
-                    *word = !*word;
-                }
+                let stats = run(out);
+                out.iter_mut().for_each(|word| *word = !*word);
                 (stats, BandOutcome::Poisoned)
             }
             BandAction::Dead => (SimStats::default(), BandOutcome::Dead),
-        }
+        };
+        BandRun { stats, busy_nanos: t0.elapsed().as_nanos() as u64, outcome }
     }
+}
 
-    /// [`TiledScheduler::run_bands_geom`] with a fault-injection plane:
-    /// band `i` executes under `actions[i]` and reports what happened in
-    /// `outcomes[i]`. When every outcome is [`BandOutcome::Ran`] or
-    /// [`BandOutcome::Stalled`] the gathered output plane is bit-identical
-    /// to the unsharded run (stalls only add host latency). A `Poisoned`
-    /// band's output rows are corrupted and a `Dead` band's rows are
-    /// stale — the caller owns detection (via `outcomes`) and recovery
-    /// (re-planning over surviving arrays and re-running).
-    ///
-    /// # Panics
-    ///
-    /// As [`TiledScheduler::run_bands_geom`], plus if `actions` or
-    /// `outcomes` are shorter than `plan`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_bands_faulted(
-        &self,
-        p: &PreparedPacked,
-        plan: &[RowBand],
-        fleet: &[ArrayGeometry],
-        d: &QuantMatrix,
-        primary: &mut RunScratch,
-        aux: &mut [RunScratch],
-        stats: &mut [SimStats],
-        busy: &mut [u64],
-        actions: &[BandAction],
-        outcomes: &mut [BandOutcome],
-    ) {
-        assert!(!plan.is_empty(), "empty shard plan");
-        assert!(
-            fleet.is_empty() || fleet.len() >= plan.len(),
-            "need one geometry per band"
-        );
-        let geom_of =
-            |i: usize| fleet.get(i).copied().unwrap_or_else(|| self.cfg.geometry());
-        assert_eq!(plan[0].rows.start, 0, "plan must start at row 0");
-        assert_eq!(plan.last().unwrap().rows.end, p.rows, "plan must cover every row");
-        for pair in plan.windows(2) {
-            assert_eq!(pair[0].rows.end, pair[1].rows.start, "plan bands must be contiguous");
-        }
-        assert!(aux.len() + 1 >= plan.len(), "need one aux scratch per extra band");
-        assert!(stats.len() >= plan.len(), "need one stats slot per band");
-        assert!(busy.len() >= plan.len(), "need one busy slot per band");
-        assert!(actions.len() >= plan.len(), "need one action per band");
-        assert!(outcomes.len() >= plan.len(), "need one outcome slot per band");
-
-        let l = d.cols();
-        let mut out = std::mem::take(&mut primary.out);
-        out.resize(p.rows * l, 0);
-
-        if plan.len() == 1 {
-            let t0 = Instant::now();
-            let (stat, outcome) =
-                self.run_band_act(p, &plan[0], geom_of(0), d, &mut out, primary, actions[0]);
-            stats[0] = stat;
-            outcomes[0] = outcome;
-            busy[0] += t0.elapsed().as_nanos() as u64;
-            primary.out = out;
-            return;
-        }
-
-        let (band0, rest_bands) = plan.split_first().expect("non-empty plan");
-        let (out0, mut out_tail) = out.split_at_mut(band0.rows.len() * l);
-        let (stat0, stats_rest) = stats.split_first_mut().expect("stats sized");
-        let (busy0, busy_rest) = busy.split_first_mut().expect("busy sized");
-        let (outcome0, outcomes_rest) = outcomes.split_first_mut().expect("outcomes sized");
-        std::thread::scope(|scope| {
-            for (i, ((((band, scratch), stat), busy_slot), outcome_slot)) in rest_bands
-                .iter()
-                .zip(aux.iter_mut())
-                .zip(stats_rest.iter_mut())
-                .zip(busy_rest.iter_mut())
-                .zip(outcomes_rest.iter_mut())
-                .enumerate()
-            {
-                let (slice, tail) = out_tail.split_at_mut(band.rows.len() * l);
-                out_tail = tail;
-                let sched = *self;
-                let geom = geom_of(i + 1);
-                let action = actions[i + 1];
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    let (s, o) = sched.run_band_act(p, band, geom, d, slice, scratch, action);
-                    *stat = s;
-                    *outcome_slot = o;
-                    *busy_slot += t0.elapsed().as_nanos() as u64;
-                });
-            }
-            let t0 = Instant::now();
-            let (s, o) = self.run_band_act(p, band0, geom_of(0), d, out0, primary, actions[0]);
-            *stat0 = s;
-            *outcome0 = o;
-            *busy0 += t0.elapsed().as_nanos() as u64;
-        });
-        primary.out = out;
-    }
+/// What one band of a [`TiledScheduler::run_bands`] scatter did.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct BandRun {
+    /// The band's own array counters (zero for a dead band).
+    pub stats: SimStats,
+    /// Host nanoseconds the band spent, stall sleeps included.
+    pub busy_nanos: u64,
+    /// What happened to the band's output rows.
+    pub outcome: BandOutcome,
 }
 
 /// What a fault-injection hook instructs one band execution (one shard
 /// lane, one conv) to do. Produced by a deterministic fault plan and
-/// consumed by [`TiledScheduler::run_bands_faulted`].
+/// consumed by [`TiledScheduler::run_bands`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BandAction {
     /// Execute normally.
@@ -796,9 +646,8 @@ impl PreparedPacked {
         self.rows
     }
 
-    /// The whole matrix as a single band —
-    /// [`TiledScheduler::run_prepared_with`] is
-    /// [`TiledScheduler::run_band_with`] over this view.
+    /// The whole matrix as a single band — the view
+    /// [`TiledScheduler::run_prepared_with`] runs.
     pub fn full_band(&self) -> RowBand {
         RowBand { rows: 0..self.rows, tiles: 0..self.tiles.len() }
     }
@@ -1538,20 +1387,21 @@ mod tests {
                     assert!(plan.len() <= shards);
                     let mut primary = RunScratch::new();
                     let mut aux = vec![RunScratch::new(); plan.len().saturating_sub(1)];
-                    let mut stats = vec![SimStats::default(); plan.len()];
-                    let mut busy = vec![0u64; plan.len()];
-                    sched.run_bands_with(
-                        &prepared, &plan, &d, &mut primary, &mut aux, &mut stats, &mut busy,
+                    let mut runs = Vec::new();
+                    sched.run_bands(
+                        &prepared, &plan, &[], &[], &d, &mut primary, &mut aux, &mut runs,
                     );
+                    assert_eq!(runs.len(), plan.len());
                     assert_eq!(
                         primary.outputs(),
                         reference.outputs(),
                         "gathered plane diverged at {shards} shards (exact={exact})"
                     );
                     let mut summed = SimStats::default();
-                    for s in &stats {
-                        summed.merge(s);
-                        assert!(s.cycles <= ref_stats.cycles, "a band outran the full run");
+                    for run in &runs {
+                        assert_eq!(run.outcome, BandOutcome::Ran);
+                        summed.merge(&run.stats);
+                        assert!(run.stats.cycles <= ref_stats.cycles, "a band outran the full run");
                     }
                     // Work is conserved exactly; only cycles redistribute.
                     assert_eq!(summed.mac_ops, ref_stats.mac_ops);
@@ -1559,7 +1409,10 @@ mod tests {
                     assert_eq!(summed.input_words, ref_stats.input_words);
                     assert_eq!(summed.output_words, ref_stats.output_words);
                     assert_eq!(summed.load_cycles, ref_stats.load_cycles);
-                    assert!(busy.iter().all(|&b| b > 0), "every band must record busy time");
+                    assert!(
+                        runs.iter().all(|r| r.busy_nanos > 0),
+                        "every band must record busy time"
+                    );
                 }
             }
         }
@@ -1599,21 +1452,26 @@ mod tests {
         let band = prepared.full_band();
 
         let mut base_scratch = RunScratch::new();
-        let mut out_base = vec![0i64; prepared.rows() * d.cols()];
-        let base =
-            sched.run_band_with(&prepared, &band, &d, &mut out_base, &mut base_scratch);
+        let base = sched.run_prepared_with(&prepared, &d, &mut base_scratch);
+        let out_base = base_scratch.outputs().to_vec();
 
         let mut geom_scratch = RunScratch::new();
         let mut out_same = vec![0i64; out_base.len()];
         let same = sched.run_band_geom(
-            &prepared, &band, cfg.geometry(), &d, &mut out_same, &mut geom_scratch,
+            &prepared, &band, cfg.geometry(), &d, &mut out_same, &mut geom_scratch, false,
         );
         assert_eq!(same, base, "matching geometry must reproduce base stats");
         assert_eq!(out_same, out_base);
 
         let mut out_small = vec![0i64; out_base.len()];
         let small = sched.run_band_geom(
-            &prepared, &band, ArrayGeometry::new(4, 8), &d, &mut out_small, &mut geom_scratch,
+            &prepared,
+            &band,
+            ArrayGeometry::new(4, 8),
+            &d,
+            &mut out_small,
+            &mut geom_scratch,
+            false,
         );
         assert_eq!(out_small, out_base, "geometry must never change outputs");
         assert!(small.cycles > base.cycles, "a smaller array must be slower");
@@ -1650,16 +1508,13 @@ mod tests {
 
         let mut primary = RunScratch::new();
         let mut aux = vec![RunScratch::new(); 1];
-        let mut stats = vec![SimStats::default(); 2];
-        let mut busy = vec![0u64; 2];
-        sched.run_bands_geom(
-            &prepared, &plan, &fleet, &d, &mut primary, &mut aux, &mut stats, &mut busy,
-        );
+        let mut runs = Vec::new();
+        sched.run_bands(&prepared, &plan, &fleet, &[], &d, &mut primary, &mut aux, &mut runs);
         assert_eq!(primary.outputs(), reference.outputs(), "hetero gather diverged");
 
         // Makespan beats the worst single array running everything.
         let worst_single = band_stats_geom(&prepared.tiles, weak, cfg.acc, d.cols()).cycles;
-        let makespan = stats.iter().map(|s| s.cycles).max().unwrap();
+        let makespan = runs.iter().map(|r| r.stats.cycles).max().unwrap();
         assert!(
             makespan < worst_single,
             "fleet makespan {makespan} must beat the weak array alone {worst_single}"

@@ -10,7 +10,7 @@
 //! ```
 
 use cc_dataset::SyntheticSpec;
-use cc_deploy::{DeployedNetwork, ShardScratch, ShardedNetwork};
+use cc_deploy::{ActivationScratch, BandSet, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_packing::{ColumnCombineConfig, ColumnCombiner};
 use cc_serve::{ModelRegistry, ServeConfig, Server};
@@ -60,19 +60,21 @@ fn main() {
     let mut base_makespan = 0u64;
     for (name, fleet) in fleets {
         let labels: Vec<String> = fleet.iter().map(ArrayGeometry::label).collect();
-        let plan = ShardedNetwork::with_fleet(deployed.clone(), fleet);
-        let mut scratch = ShardScratch::for_network(&plan);
-        let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
+        let mut bands = BandSet::with_fleet(fleet);
+        let mut scratch = ActivationScratch::new();
+        let logits =
+            deployed.run_batch_banded(&deployed.scheduler(), &images, &mut scratch, &mut bands);
         assert_eq!(logits, serial, "fleet execution must be bit-identical to unsharded");
+        let makespan = bands.makespan_cycles();
         if base_makespan == 0 {
-            base_makespan = stats.makespan_cycles;
+            base_makespan = makespan;
         }
         println!(
             "  {:<15} {:<18} {:>15}  {:>6.2}x",
             name,
             labels.join("+"),
-            stats.makespan_cycles,
-            base_makespan as f64 / stats.makespan_cycles.max(1) as f64,
+            makespan,
+            base_makespan as f64 / makespan.max(1) as f64,
         );
     }
 

@@ -1,19 +1,21 @@
 //! Multi-array sharding demo: one deployed network carved across N
-//! simulated systolic arrays — as layer shards (cost-balanced layer
-//! ranges) and as row-band shards (each conv's output rows split across
-//! arrays) — with bit-identical results, a simulated-cycle scaling table,
-//! and a sharded serving run through `cc-serve`.
+//! simulated systolic arrays — as layer cuts (cost-balanced layer ranges,
+//! each run as one stage on its own array) and as row-band shards (each
+//! conv's output rows split across a `BandSet`'s arrays) — with
+//! bit-identical results, a simulated-cycle scaling table, and a sharded
+//! serving run through `cc-serve`.
 //!
 //! ```text
 //! cargo run --release -p cc-examples --example shard_demo
 //! ```
 
 use cc_dataset::SyntheticSpec;
-use cc_deploy::{DeployedNetwork, ShardMode, ShardScratch, ShardedNetwork};
+use cc_deploy::{ActivationScratch, BandSet, BatchOutput, DeployedNetwork};
 use cc_nn::models::{lenet5_shift, ModelConfig};
 use cc_packing::{ColumnCombineConfig, ColumnCombiner};
 use cc_serve::{ModelRegistry, ServeConfig, Server};
 use cc_systolic::array::ArrayConfig;
+use cc_systolic::{partition_min_max, SimStats};
 use cc_tensor::quant::AccumWidth;
 use cc_tensor::Tensor;
 use std::time::Duration;
@@ -46,29 +48,39 @@ fn main() {
     // 2. Shard it 1..4 ways in both geometries: bit-identity plus the
     // simulated-cycle makespan each extra array buys.
     println!("sharding one model across N simulated arrays (batch of {}):", images.len());
-    println!("  mode       shards  makespan_cycles  speedup");
-    for mode in [ShardMode::Layers, ShardMode::RowBands] {
+    println!("  mode        shards  makespan_cycles  speedup");
+    for (mode, cuts) in [("layer cuts", true), ("row bands", false)] {
         let mut base = 0u64;
         let mut base_mac_ops = 0u64;
         for shards in 1..=4 {
-            let plan = ShardedNetwork::new(deployed.clone(), mode, shards);
-            let mut scratch = ShardScratch::for_network(&plan);
-            let (logits, stats) = plan.run_batch_stats(&images, &mut scratch);
+            let (logits, per_shard) = if cuts {
+                layer_cuts(&deployed, &images, shards)
+            } else {
+                let mut bands = BandSet::new(shards);
+                let logits = deployed.run_batch_banded(
+                    &deployed.scheduler(),
+                    &images,
+                    &mut ActivationScratch::new(),
+                    &mut bands,
+                );
+                (logits, bands.shard_stats().to_vec())
+            };
             assert_eq!(logits, serial, "sharded execution must be bit-identical to unsharded");
+            // Shards run side by side: work sums, the makespan is the
+            // busiest array.
+            let mut stats = SimStats::default();
+            per_shard.iter().for_each(|s| stats.merge_concurrent(s));
             if shards == 1 {
-                base = stats.makespan_cycles;
-                base_mac_ops = stats.merged.mac_ops;
+                base = stats.cycles;
+                base_mac_ops = stats.mac_ops;
             }
-            assert_eq!(
-                stats.merged.mac_ops, base_mac_ops,
-                "the scatter must conserve total work"
-            );
+            assert_eq!(stats.mac_ops, base_mac_ops, "the scatter must conserve total work");
             println!(
-                "  {:<10} {:>6}  {:>15}  {:>6.2}x",
-                format!("{mode:?}"),
-                plan.shards(),
-                stats.makespan_cycles,
-                base as f64 / stats.makespan_cycles.max(1) as f64,
+                "  {:<11} {:>6}  {:>15}  {:>6.2}x",
+                mode,
+                per_shard.len(),
+                stats.cycles,
+                base as f64 / stats.cycles.max(1) as f64,
             );
         }
     }
@@ -105,4 +117,26 @@ fn main() {
         stats.throughput_rps,
         stats.shard_busy.iter().map(|f| (f * 100.0).round() / 100.0).collect::<Vec<_>>(),
     );
+}
+
+/// Layer cuts: `k` cost-balanced layer ranges, each run as one stage on
+/// its own simulated array. Returns the logits and each range's stats.
+fn layer_cuts(
+    deployed: &DeployedNetwork,
+    images: &[Tensor],
+    k: usize,
+) -> (Vec<Vec<f32>>, Vec<SimStats>) {
+    let sched = deployed.scheduler();
+    let mut scratch = ActivationScratch::new();
+    let mut data = BatchOutput::Maps(deployed.quantize_batch_scratch(images, &mut scratch));
+    let mut per_range = Vec::new();
+    for range in partition_min_max(&deployed.layer_costs(), k) {
+        let mut bands = BandSet::new(1);
+        data = deployed.run_stage(range, data, &sched, &mut scratch, Some(&mut bands));
+        per_range.push(bands.merged_stats());
+    }
+    let BatchOutput::Logits(logits) = data else {
+        panic!("deployed network has no classifier head")
+    };
+    (logits, per_range)
 }
